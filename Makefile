@@ -42,7 +42,9 @@ benchsmoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # bench runs the paper-artefact benchmarks (quick scale) including the
-# farm serial-vs-parallel comparison.
+# farm serial-vs-parallel comparison, and one pass of every per-layer
+# micro-benchmark (BenchmarkChipEvaluate, BenchmarkFixedPoint,
+# BenchmarkSolve, ...).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 

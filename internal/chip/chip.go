@@ -42,9 +42,11 @@ type Chip struct {
 	Levels []float64
 
 	// Per-block leakage cache (constant per die): effective mean Vth and
-	// nominal static share, indexed like FP.Blocks.
+	// nominal static share, indexed like FP.Blocks, and the die's leakage
+	// kernel that evaluates them.
 	blockVthEff []float64
 	blockRefW   []float64
+	leakKernel  tech.LeakageKernel
 	// steppers caches transient thermal factorisations by step length;
 	// stepMu makes the cache safe when one characterised die is shared by
 	// concurrent timeline simulations (the farm engine's die cache hands
@@ -99,6 +101,7 @@ func Build(maps *varmodel.DieMaps, fp *floorplan.Floorplan, dcfg delay.Config, p
 	c.steppers = make(map[float64]*thermal.Transient)
 	c.blockVthEff = make([]float64, len(fp.Blocks))
 	c.blockRefW = make([]float64, len(fp.Blocks))
+	c.leakKernel = pm.Tech.LeakageKernel(maps.VthSigmaRan)
 	for bi, b := range fp.Blocks {
 		c.blockVthEff[bi], c.blockRefW[bi] = pm.BlockVthEff(maps, fp, b)
 	}
@@ -296,11 +299,9 @@ func (c *Chip) leakageFn(leak []float64, states []CoreState) func(temps []float6
 		for bi, b := range c.FP.Blocks {
 			switch {
 			case b.Kind == floorplan.UnitL2:
-				leak[bi] = c.Power.BlockStaticFromCache(c.blockVthEff[bi], c.blockRefW[bi],
-					c.Maps.VthSigmaRan, c.Tech.VddNominal, temps[bi])
+				leak[bi] = c.leakKernel.Static(c.blockRefW[bi], c.blockVthEff[bi], c.Tech.VddNominal, temps[bi])
 			case states[b.Core].App != nil:
-				leak[bi] = c.Power.BlockStaticFromCache(c.blockVthEff[bi], c.blockRefW[bi],
-					c.Maps.VthSigmaRan, states[b.Core].V, temps[bi])
+				leak[bi] = c.leakKernel.Static(c.blockRefW[bi], c.blockVthEff[bi], states[b.Core].V, temps[bi])
 			default:
 				leak[bi] = 0
 			}
@@ -453,10 +454,8 @@ func (c *Chip) buildResultInto(res *EvalResult, states []CoreState, dyn, leak, t
 // power.Model.CoreStaticW.
 func (c *Chip) CoreStaticCached(core int, v, tempC float64) float64 {
 	sum := 0.0
-	for bi, b := range c.FP.Blocks {
-		if b.Core == core {
-			sum += c.Power.BlockStaticFromCache(c.blockVthEff[bi], c.blockRefW[bi], c.Maps.VthSigmaRan, v, tempC)
-		}
+	for _, bi := range c.FP.CoreBlockIndices(core) {
+		sum += c.leakKernel.Static(c.blockRefW[bi], c.blockVthEff[bi], v, tempC)
 	}
 	return sum
 }

@@ -23,7 +23,7 @@ var (
 
 // testChip builds one characterised die (cached across tests — building is
 // the expensive part and the die is immutable).
-func testChip(t *testing.T) (*Chip, *cpusim.Model) {
+func testChip(t testing.TB) (*Chip, *cpusim.Model) {
 	t.Helper()
 	testChipOnce.Do(func() {
 		cfg := varmodel.DefaultConfig()

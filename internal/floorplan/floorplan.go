@@ -154,6 +154,10 @@ func (f *Floorplan) CoreBlocks(c int) []Block {
 	return out
 }
 
+// CoreBlockIndices returns the indices into Blocks of core c's blocks, in
+// ascending order. The slice is shared and must not be modified.
+func (f *Floorplan) CoreBlockIndices(c int) []int { return f.byCore[c] }
+
 // L2Blocks returns the shared L2 bank blocks.
 func (f *Floorplan) L2Blocks() []Block {
 	out := make([]Block, len(f.l2Blocks))

@@ -1,6 +1,13 @@
 // Package linsolve provides the small dense linear-algebra kernel the
 // thermal model needs: LU factorization with partial pivoting and
 // triangular solves. Matrices are stored row-major in flat slices.
+//
+// The factorization runs dense, but the factor is kept as a sparse
+// skeleton: the thermal conductance matrix couples only adjacent
+// floorplan blocks, so most of L and U are exact zeros. Solves walk only
+// the stored nonzeros, in the order the dense substitution would visit
+// them, so for finite inputs they return the same bits as the dense
+// loops while doing a fraction of the multiply-adds.
 package linsolve
 
 import (
@@ -15,23 +22,41 @@ var ErrSingular = errors.New("linsolve: singular matrix")
 
 // LU is a factorization P*A = L*U usable for repeated solves against the
 // same matrix (the thermal model re-solves each leakage iteration).
+//
+// The factor is stored in compressed sparse rows: row i holds the nonzeros
+// of L's strict lower part in ascending column order, then U's diagonal,
+// then the nonzeros of U's strict upper part in ascending column order.
 type LU struct {
 	n    int
-	lu   []float64
 	perm []int
+	// rowPtr[i]:rowPtr[i+1] spans row i of val/col; diag[i] indexes its
+	// diagonal entry.
+	rowPtr []int
+	diag   []int
+	col    []int
+	val    []float64
+	swaps  int
 }
 
 // Factor computes the LU factorization of the n x n matrix a (row-major).
 // The input is not modified.
 func Factor(a []float64, n int) (*LU, error) {
+	return FactorInPlace(append([]float64(nil), a...), n)
+}
+
+// FactorInPlace is Factor using a as the elimination workspace, for
+// callers that assembled the matrix only to factor it. The contents of a
+// are overwritten; the returned LU does not retain it.
+func FactorInPlace(a []float64, n int) (*LU, error) {
 	if len(a) != n*n {
 		return nil, fmt.Errorf("linsolve: matrix buffer has %d elements, want %d", len(a), n*n)
 	}
-	lu := append([]float64(nil), a...)
+	lu := a
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
+	swaps := 0
 	for col := 0; col < n; col++ {
 		// Partial pivoting: find the largest magnitude in this column.
 		pivot := col
@@ -49,6 +74,7 @@ func Factor(a []float64, n int) (*LU, error) {
 				lu[col*n+c], lu[pivot*n+c] = lu[pivot*n+c], lu[col*n+c]
 			}
 			perm[col], perm[pivot] = perm[pivot], perm[col]
+			swaps++
 		}
 		inv := 1 / lu[col*n+col]
 		pivRow := lu[col*n+col+1 : (col+1)*n]
@@ -56,14 +82,68 @@ func Factor(a []float64, n int) (*LU, error) {
 			rowR := lu[r*n : (r+1)*n : (r+1)*n]
 			f := rowR[col] * inv
 			rowR[col] = f
+			if f == 0 {
+				// Subtracting f*pv = ±0 leaves every finite entry's value
+				// unchanged; only the sign of a zero could differ, and
+				// zeros are not stored in the factor.
+				continue
+			}
 			tail := rowR[col+1:]
 			for k, pv := range pivRow {
 				tail[k] -= f * pv
 			}
 		}
 	}
-	return &LU{n: n, lu: lu, perm: perm}, nil
+	f := &LU{n: n, perm: perm, swaps: swaps}
+	f.compress(lu)
+	return f, nil
 }
+
+// compress stores the nonzeros of the dense factor lu as the sparse
+// skeleton, sizing the arrays with a counting pass.
+func (f *LU) compress(lu []float64) {
+	n := f.n
+	nnz := 0
+	for i := 0; i < n; i++ {
+		for j, v := range lu[i*n : (i+1)*n] {
+			if v != 0 || j == i {
+				nnz++
+			}
+		}
+	}
+	f.rowPtr = make([]int, n+1)
+	f.diag = make([]int, n)
+	f.col = make([]int, nnz)
+	f.val = make([]float64, nnz)
+	k := 0
+	for i := 0; i < n; i++ {
+		f.rowPtr[i] = k
+		for j, v := range lu[i*n : (i+1)*n] {
+			if j == i {
+				f.diag[i] = k
+			} else if v == 0 {
+				continue
+			}
+			f.col[k] = j
+			f.val[k] = v
+			k++
+		}
+	}
+	f.rowPtr[n] = k
+}
+
+// NNZ returns the number of stored nonzeros in L's strict lower part and
+// in U including its diagonal. Together they count a solve's work:
+// lower+upper-n multiply-subtracts and n divisions.
+func (f *LU) NNZ() (lower, upper int) {
+	for i := 0; i < f.n; i++ {
+		lower += f.diag[i] - f.rowPtr[i]
+	}
+	return lower, len(f.val) - lower
+}
+
+// Swaps returns the number of row interchanges partial pivoting made.
+func (f *LU) Swaps() int { return f.swaps }
 
 // SolveInto solves A x = b into the caller-provided x, so repeated solves
 // (the thermal fixed point, the transient stepper) can run without
@@ -78,27 +158,26 @@ func (f *LU) SolveInto(x, b []float64) error {
 		return fmt.Errorf("linsolve: solution buffer has %d elements, want %d", len(x), f.n)
 	}
 	n := f.n
-	// Apply permutation and forward-substitute L (unit diagonal). Slicing
-	// x to the row length lets the compiler drop the inner bounds checks.
-	for i := 0; i < n; i++ {
+	val, col, rowPtr, diag := f.val, f.col, f.rowPtr, f.diag[:n]
+	// Apply permutation and forward-substitute L (unit diagonal).
+	for i, d := range diag {
 		s := b[f.perm[i]]
-		row := f.lu[i*n : i*n+i]
-		xs := x[:len(row)]
-		for j, v := range row {
-			s -= v * xs[j]
+		lo := rowPtr[i]
+		cols := col[lo:d]
+		for k, v := range val[lo:d] {
+			s -= v * x[cols[k]]
 		}
 		x[i] = s
 	}
 	// Back-substitute U.
 	for i := n - 1; i >= 0; i-- {
-		row := f.lu[i*n+i : (i+1)*n]
-		tail := row[1:]
-		xt := x[i+1:][:len(tail)]
+		d, hi := diag[i], rowPtr[i+1]
+		cols := col[d+1 : hi]
 		s := x[i]
-		for j, v := range tail {
-			s -= v * xt[j]
+		for k, v := range val[d+1 : hi] {
+			s -= v * x[cols[k]]
 		}
-		x[i] = s / row[0]
+		x[i] = s / val[d]
 	}
 	return nil
 }

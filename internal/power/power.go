@@ -102,7 +102,7 @@ func (m Model) blockWeight(b floorplan.Block) float64 {
 // threshold voltage and its nominal static power share at the reference
 // point. Callers that evaluate leakage repeatedly (the thermal fixed point
 // runs per millisecond of simulated time) cache these per-die constants
-// and use BlockStaticFromCache instead of BlockStaticW.
+// and evaluate them with tech.LeakageKernel instead of BlockStaticW.
 func (m Model) BlockVthEff(maps *varmodel.DieMaps, fp *floorplan.Floorplan, b floorplan.Block) (vthEff, refW float64) {
 	vth := maps.VthMeanOverRect(b.R.X0, b.R.Y0, b.R.X1, b.R.Y1)
 	leff := maps.LeffMeanOverRect(b.R.X0, b.R.Y0, b.R.X1, b.R.Y1)
@@ -119,13 +119,6 @@ func (m Model) BlockVthEff(maps *varmodel.DieMaps, fp *floorplan.Floorplan, b fl
 		total += m.blockWeight(cb)
 	}
 	return vthEff, m.CoreStaticNomW * (m.blockWeight(b) / total)
-}
-
-// BlockStaticFromCache evaluates a block's static power from the cached
-// (vthEff, refW) pair returned by BlockVthEff, with the random-variation
-// uplift applied. It is algebraically identical to BlockStaticW.
-func (m Model) BlockStaticFromCache(vthEff, refW, sigmaRan, v, tempC float64) float64 {
-	return refW * m.Tech.LeakageFactor(vthEff, v, tempC) * m.Tech.RandomLeakageUplift(sigmaRan, tempC)
 }
 
 // CoreStaticW returns the total static power of core c at supply v with

@@ -173,11 +173,13 @@ func TestFastRegionsLeakMore(t *testing.T) {
 }
 
 func TestCachedLeakageMatchesDirect(t *testing.T) {
-	// BlockStaticFromCache must be algebraically identical to
-	// BlockStaticW for every block, voltage, and temperature.
+	// The leakage kernel over the cached (vthEff, refW) pair must be
+	// algebraically identical to BlockStaticW for every block, voltage,
+	// and temperature.
 	maps := testMaps(t, 0.12)
 	fp := floorplan.New20CoreCMP()
 	m := DefaultModel(maps.Cfg.Tech)
+	k := m.Tech.LeakageKernel(maps.VthSigmaRan)
 	for _, b := range fp.Blocks[:20] {
 		vthEff, refW := m.BlockVthEff(maps, fp, b)
 		if refW <= 0 {
@@ -186,7 +188,7 @@ func TestCachedLeakageMatchesDirect(t *testing.T) {
 		for _, v := range []float64{0.6, 0.8, 1.0} {
 			for _, tc := range []float64{55.0, 80.0, 100.0} {
 				direct := m.BlockStaticW(maps, fp, b, v, tc)
-				cached := m.BlockStaticFromCache(vthEff, refW, maps.VthSigmaRan, v, tc)
+				cached := k.Static(refW, vthEff, v, tc)
 				if d := direct - cached; d > 1e-12 || d < -1e-12 {
 					t.Fatalf("block %s at (%v V, %v C): direct %v != cached %v",
 						b.Name, v, tc, direct, cached)

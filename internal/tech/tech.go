@@ -190,3 +190,48 @@ func (p Params) RandomLeakageUplift(sigmaVth, tempC float64) float64 {
 	s := p.SubVtSlopeN * ThermalVoltage(tempC)
 	return math.Exp(sigmaVth * sigmaVth / (2 * s * s))
 }
+
+// LeakageKernel evaluates cached block leakage on the hot path: the
+// per-block static power refW*LeakageFactor(vth, v, T)*
+// RandomLeakageUplift(sigmaRan, T) for one die's random-variation sigma,
+// with the temperature-independent terms hoisted out and kT/q computed
+// once per call. Every expression keeps the shape of the two reference
+// functions, so the results are bit-identical to them.
+type LeakageKernel struct {
+	vthTempCoeff, tRefC, dibl, slopeN, vddNominal float64
+	// sigma2 is sigmaRan squared; tRefK2 is the squared reference
+	// temperature in kelvin; den is LeakageFactor's reference-point
+	// exponential.
+	sigma2, tRefK2, den float64
+}
+
+// LeakageKernel returns the kernel for a die whose within-die random Vth
+// variation has standard deviation sigmaRan.
+func (p Params) LeakageKernel(sigmaRan float64) LeakageKernel {
+	vtRef := ThermalVoltage(p.TRefC)
+	tRefK := p.TRefC + 273.15
+	return LeakageKernel{
+		vthTempCoeff: p.VthTempCoeff,
+		tRefC:        p.TRefC,
+		dibl:         p.DIBL,
+		slopeN:       p.SubVtSlopeN,
+		vddNominal:   p.VddNominal,
+		sigma2:       sigmaRan * sigmaRan,
+		tRefK2:       tRefK * tRefK,
+		den:          math.Exp((-p.VthNominal + p.DIBL*p.VddNominal) / (p.SubVtSlopeN * vtRef)),
+	}
+}
+
+// Static returns refW*LeakageFactor(vth, v, tempC)*
+// RandomLeakageUplift(sigmaRan, tempC): the static power of a block with
+// nominal share refW and effective threshold vth at supply v and
+// temperature tempC.
+func (k *LeakageKernel) Static(refW, vth, v, tempC float64) float64 {
+	vt := ThermalVoltage(tempC)
+	vthT := vth - k.vthTempCoeff*(tempC-k.tRefC)
+	tK := tempC + 273.15
+	expTerm := math.Exp((-vthT+k.dibl*v)/(k.slopeN*vt)) / k.den
+	factor := (tK * tK) / k.tRefK2 * (v / k.vddNominal) * expTerm
+	s := k.slopeN * vt
+	return refW * factor * math.Exp(k.sigma2/(2*s*s))
+}

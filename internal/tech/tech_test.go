@@ -171,3 +171,28 @@ func TestDelayLeakagePositiveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLeakageKernelBitIdentical checks the hoisted kernel against the
+// reference formulas bit for bit over the voltage ladder, 45-150 C, a
+// spread of thresholds, and random-variation sigmas including 0.
+func TestLeakageKernelBitIdentical(t *testing.T) {
+	p := Default()
+	for _, sigma := range []float64{0, 0.005, 0.0125, 0.03} {
+		k := p.LeakageKernel(sigma)
+		for _, v := range p.VoltageLevels() {
+			for tc := 45.0; tc <= 150; tc += 0.75 {
+				for _, dvth := range []float64{-0.06, -0.021, 0, 0.013, 0.05} {
+					vth := p.VthNominal + dvth
+					for _, refW := range []float64{0.017, 0.31, 1.25} {
+						want := refW * p.LeakageFactor(vth, v, tc) * p.RandomLeakageUplift(sigma, tc)
+						got := k.Static(refW, vth, v, tc)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("sigma %v, %v V, %v C, Vth %v, refW %v: kernel %v, reference %v",
+								sigma, v, tc, vth, refW, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

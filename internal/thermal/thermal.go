@@ -46,6 +46,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// ErrNoConvergence is returned (wrapped) by FixedPoint and FixedPointWith
+// when the largest block-temperature change is still at or above the
+// tolerance after maxIter iterations.
+var ErrNoConvergence = errors.New("thermal: leakage-temperature fixed point did not converge")
+
 // Model is the assembled RC network for one floorplan.
 type Model struct {
 	cfg    Config
@@ -57,7 +62,8 @@ type Model struct {
 }
 
 // New builds the conductance matrix for fp and factors it once; Solve then
-// costs one pair of triangular substitutions per call.
+// costs one forward and one backward substitution over the factor's
+// nonzeros per call.
 func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	if cfg.VerticalConductance <= 0 || cfg.LateralConductance < 0 {
 		return nil, fmt.Errorf("thermal: invalid conductances %+v", cfg)
@@ -66,13 +72,42 @@ func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	if n == 0 {
 		return nil, errors.New("thermal: empty floorplan")
 	}
+	gVert := make([]float64, n)
+	lu, err := linsolve.FactorInPlace(systemMatrix(fp, cfg, nil, gVert), n)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: factoring conductance matrix: %w", err)
+	}
+	return &Model{cfg: cfg, fp: fp, n: n, lu: lu, gVert: gVert, blocks: fp.Blocks}, nil
+}
+
+// SystemMatrix returns the n x n row-major matrix the model factors for
+// fp: the conductance matrix G when dtMS is 0, or the backward-Euler step
+// matrix G + C/dt of a dtMS-millisecond transient step otherwise.
+func SystemMatrix(fp *floorplan.Floorplan, cfg Config, dtMS float64) []float64 {
+	var cOver []float64
+	if dtMS > 0 {
+		cOver = capacitanceOverDt(fp, dtMS/1000)
+	}
+	return systemMatrix(fp, cfg, cOver, nil)
+}
+
+// systemMatrix assembles the network matrix for fp: each block's vertical
+// conductance (plus cOver[i] when cOver is non-nil) on the diagonal, and
+// the lateral conductance of every shared edge coupling two blocks. A
+// non-nil gVert receives the per-block vertical conductances.
+func systemMatrix(fp *floorplan.Floorplan, cfg Config, cOver, gVert []float64) []float64 {
+	n := len(fp.Blocks)
 	edge := fp.DieEdgeMM()
 	g := make([]float64, n*n)
-	gVert := make([]float64, n)
 	for i, bi := range fp.Blocks {
 		areaMM2 := bi.R.Area() * edge * edge
 		gv := cfg.VerticalConductance * areaMM2
-		gVert[i] = gv
+		if gVert != nil {
+			gVert[i] = gv
+		}
+		if cOver != nil {
+			gv += cOver[i]
+		}
 		g[i*n+i] += gv
 		for j := i + 1; j < n; j++ {
 			bj := fp.Blocks[j]
@@ -93,11 +128,19 @@ func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 			g[j*n+i] -= gl
 		}
 	}
-	lu, err := linsolve.Factor(g, n)
-	if err != nil {
-		return nil, fmt.Errorf("thermal: factoring conductance matrix: %w", err)
+	return g
+}
+
+// capacitanceOverDt returns C_i/dt per block of fp, in W/K, for a step of
+// dt seconds.
+func capacitanceOverDt(fp *floorplan.Floorplan, dt float64) []float64 {
+	edge := fp.DieEdgeMM()
+	cOver := make([]float64, len(fp.Blocks))
+	for i, b := range fp.Blocks {
+		areaMM2 := b.R.Area() * edge * edge
+		cOver[i] = HeatCapacityPerMM2 * areaMM2 / dt
 	}
-	return &Model{cfg: cfg, fp: fp, n: n, lu: lu, gVert: gVert, blocks: fp.Blocks}, nil
+	return cOver
 }
 
 // Config returns the model's calibration.
@@ -143,7 +186,9 @@ func (m *Model) Solve(powerW []float64) ([]float64, error) {
 // guarantee convergence) or maxIter is reached.
 //
 // It returns the converged temperatures, the per-block leakage at those
-// temperatures, and the number of iterations used.
+// temperatures, and the number of iterations used. If maxIter iterations
+// pass without convergence it returns the last iterate with an error
+// wrapping ErrNoConvergence.
 func (m *Model) FixedPoint(dynPowerW []float64, leakage func(tempsC []float64) []float64, tolC float64, maxIter int) ([]float64, []float64, int, error) {
 	return m.FixedPointWith(nil, dynPowerW, leakage, tolC, maxIter)
 }
@@ -186,6 +231,7 @@ func (m *Model) FixedPointWith(sc *FixedPointScratch, dynPowerW []float64, leaka
 		temps[i] = m.cfg.AmbientC + 20 // warm start
 	}
 	var leak []float64
+	worst := 0.0
 	const damping = 0.7
 	for iter := 1; iter <= maxIter; iter++ {
 		leak = leakage(temps)
@@ -198,7 +244,7 @@ func (m *Model) FixedPointWith(sc *FixedPointScratch, dynPowerW []float64, leaka
 		if err := m.SolveInto(next, total); err != nil {
 			return nil, nil, iter, err
 		}
-		worst := 0.0
+		worst = 0
 		for i := range temps {
 			blended := temps[i] + damping*(next[i]-temps[i])
 			if d := math.Abs(blended - temps[i]); d > worst {
@@ -210,7 +256,8 @@ func (m *Model) FixedPointWith(sc *FixedPointScratch, dynPowerW []float64, leaka
 			return temps, leak, iter, nil
 		}
 	}
-	return temps, leak, maxIter, nil
+	return temps, leak, maxIter, fmt.Errorf("%w: largest change %.3g C after %d iterations (tolerance %g C)",
+		ErrNoConvergence, worst, maxIter, tolC)
 }
 
 // AmbientTemps fills dst with the ambient temperature — the initial
@@ -283,35 +330,8 @@ func (m *Model) NewTransient(dtMS float64) (*Transient, error) {
 		return nil, fmt.Errorf("thermal: non-positive step %v ms", dtMS)
 	}
 	dt := dtMS / 1000
-	edge := m.fp.DieEdgeMM()
-	n := m.n
-	// Rebuild G and add C/dt on the diagonal.
-	g := make([]float64, n*n)
-	cOver := make([]float64, n)
-	for i, bi := range m.blocks {
-		areaMM2 := bi.R.Area() * edge * edge
-		cOver[i] = HeatCapacityPerMM2 * areaMM2 / dt
-		g[i*n+i] += m.cfg.VerticalConductance*areaMM2 + cOver[i]
-		for j := i + 1; j < n; j++ {
-			bj := m.blocks[j]
-			shared := bi.R.SharedEdge(bj.R)
-			if shared <= 0 {
-				continue
-			}
-			cxi, cyi := (bi.R.X0+bi.R.X1)/2, (bi.R.Y0+bi.R.Y1)/2
-			cxj, cyj := (bj.R.X0+bj.R.X1)/2, (bj.R.Y0+bj.R.Y1)/2
-			distMM := math.Hypot(cxi-cxj, cyi-cyj) * edge
-			if distMM <= 0 {
-				continue
-			}
-			gl := m.cfg.LateralConductance * (shared * edge) / distMM
-			g[i*n+i] += gl
-			g[j*n+j] += gl
-			g[i*n+j] -= gl
-			g[j*n+i] -= gl
-		}
-	}
-	lu, err := linsolve.Factor(g, n)
+	cOver := capacitanceOverDt(m.fp, dt)
+	lu, err := linsolve.FactorInPlace(systemMatrix(m.fp, m.cfg, cOver, nil), m.n)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
 	}

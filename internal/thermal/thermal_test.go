@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -175,6 +176,36 @@ func TestFixedPointValidation(t *testing.T) {
 	badLeak := func([]float64) []float64 { return []float64{1} }
 	if _, _, _, err := m.FixedPoint(dyn, badLeak, 0.01, 10); err == nil {
 		t.Fatal("wrong-size leakage vector accepted")
+	}
+}
+
+// TestFixedPointReportsNonConvergence drives the loop with a leakage
+// closure that alternates between two power levels, so the damped
+// iteration never settles; the exhausted iteration budget must surface as
+// ErrNoConvergence rather than as a silently returned last iterate.
+func TestFixedPointReportsNonConvergence(t *testing.T) {
+	m := newTestModel(t)
+	n := len(floorplan.New20CoreCMP().Blocks)
+	dyn := make([]float64, n)
+	leak := make([]float64, n)
+	calls := 0
+	oscillating := func([]float64) []float64 {
+		calls++
+		w := 0.0
+		if calls%2 == 1 {
+			w = 2
+		}
+		for i := range leak {
+			leak[i] = w
+		}
+		return leak
+	}
+	_, _, iters, err := m.FixedPoint(dyn, oscillating, 0.01, 30)
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("oscillating leakage: err = %v, want ErrNoConvergence", err)
+	}
+	if iters != 30 || calls != 30 {
+		t.Fatalf("used %d iterations and %d leakage calls, want 30 each", iters, calls)
 	}
 }
 

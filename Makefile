@@ -43,10 +43,9 @@ benchsmoke:
 
 # bench runs the paper-artefact benchmarks (quick scale) including the
 # farm serial-vs-parallel comparison, and one pass of every per-layer
-# micro-benchmark (BenchmarkChipEvaluate, BenchmarkFixedPoint,
-# BenchmarkSolve, ...).
-bench:
-	$(GO) test -run xxx -bench . -benchtime 1x ./...
+# micro-benchmark (BenchmarkChipBuild, BenchmarkChipEvaluate,
+# BenchmarkFixedPoint, BenchmarkSolve, ...) — the benchsmoke recipe.
+bench: benchsmoke
 
 # ci is the full gate: vet, build, race-enabled tests (includes the
 # golden-file experiment test), the coverage gate, the lp / anneal /
@@ -102,7 +101,7 @@ goldens-check: goldens
 # artefacts) against the committed baseline without writing a snapshot.
 benchcheck:
 	$(GO) run ./cmd/benchstatus -check -nowrite \
-		-pkgs ./internal/grf,./internal/thermal,./internal/linsolve,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt
+		-pkgs ./internal/grf,./internal/thermal,./internal/linsolve,./internal/lp,./internal/pm,./internal/anneal,./internal/cpusim,./internal/fft,./internal/jobstore,./internal/diecache,./internal/varmodel,./internal/adapt,./internal/chip,./internal/delay,./internal/dynamic
 
 # benchsnap records a fresh full-suite snapshot (BENCH_<date>.json).
 benchsnap:

@@ -151,21 +151,15 @@ func Apply(maps *varmodel.DieMaps, fp *floorplan.Floorplan, bias Assignment, cfg
 	field.Data = append([]float64(nil), maps.VthSys.Data...)
 	clone.VthSys = &field
 
-	rows, cols := field.Rows, field.Cols
-	for r := 0; r < rows; r++ {
-		y := (float64(r) + 0.5) / float64(rows)
-		for c := 0; c < cols; c++ {
-			x := (float64(c) + 0.5) / float64(cols)
-			bi := fp.BlockAt(x, y)
-			if bi < 0 {
-				continue
-			}
-			core := fp.Blocks[bi].Core
-			if core < 0 {
-				continue // L2 is unbiased
-			}
-			field.Data[r*cols+c] -= cfg.VthPerBiasV * bias[core]
+	for cell, bi := range fp.GridBlocks(field.Rows, field.Cols) {
+		if bi < 0 {
+			continue
 		}
+		core := fp.Blocks[bi].Core
+		if core < 0 {
+			continue // L2 is unbiased
+		}
+		field.Data[cell] -= cfg.VthPerBiasV * bias[core]
 	}
 	return &clone, nil
 }

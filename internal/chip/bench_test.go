@@ -3,6 +3,8 @@ package chip
 import (
 	"testing"
 
+	"vasched/internal/delay"
+	"vasched/internal/thermal"
 	"vasched/internal/workload"
 )
 
@@ -28,6 +30,22 @@ func BenchmarkChipEvaluate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Evaluate(st, cpu); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChipBuild is one cold characterisation of a 128x128 die — the
+// per-die cost of a fresh die population and of every aged rebuild in a
+// wearout horizon: thermal factor, per-block leakage cache, path sampling
+// and the per-core (V, f) and static-power tables.
+func BenchmarkChipBuild(b *testing.B) {
+	c, _ := testChip(b)
+	dcfg, tcfg := delay.DefaultConfig(), thermal.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(c.Maps, c.FP, dcfg, c.Power, tcfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,13 +99,14 @@ func BuildCore(maps *varmodel.DieMaps, fp *floorplan.Floorplan, core int, rng *s
 	return cp, nil
 }
 
-// WorstRelativeDelay returns the largest relative path delay at supply v
-// and temperature tempC (1.0 means "as slow as the nominal device at the
+// worstDelay returns the largest relative path delay at supply v under k,
+// the delay kernel for temperature tempC, with every path's threshold
+// shifted by dVth volts (1.0 means "as slow as the nominal device at the
 // nominal operating point").
-func (cp *CorePaths) WorstRelativeDelay(v, tempC float64) float64 {
+func (cp *CorePaths) worstDelay(k *tech.DelayKernel, dVth, v, tempC float64) float64 {
 	worst := 0.0
 	for _, p := range cp.paths {
-		d := cp.tech.AlphaPowerDelay(p.vth, p.leff, v, tempC)
+		d := k.Delay(cp.tech.VthAtTemp(p.vth+dVth, tempC), p.leff/cp.tech.LeffNominal, v)
 		if d > worst {
 			worst = d
 		}
@@ -113,11 +114,9 @@ func (cp *CorePaths) WorstRelativeDelay(v, tempC float64) float64 {
 	return worst
 }
 
-// FmaxHz returns the maximum frequency the core sustains at supply v and
-// temperature tempC, quantised down to the PLL grid. It returns 0 if no
-// path switches at this operating point (supply too close to threshold).
-func (cp *CorePaths) FmaxHz(v, tempC float64) float64 {
-	worst := cp.WorstRelativeDelay(v, tempC)
+// fmaxFor turns a worst relative delay into a frequency quantised down to
+// the PLL grid, or 0 if no path switches.
+func (cp *CorePaths) fmaxFor(worst float64) float64 {
 	if math.IsInf(worst, 1) || worst <= 0 {
 		return 0
 	}
@@ -128,25 +127,19 @@ func (cp *CorePaths) FmaxHz(v, tempC float64) float64 {
 	return f
 }
 
+// FmaxHz returns the maximum frequency the core sustains at supply v and
+// temperature tempC, quantised down to the PLL grid. It returns 0 if no
+// path switches at this operating point (supply too close to threshold).
+func (cp *CorePaths) FmaxHz(v, tempC float64) float64 {
+	return cp.FmaxWithVthShift(0, v, tempC)
+}
+
 // FmaxWithVthShift returns the core's maximum frequency with every path's
 // threshold shifted by dVth volts — the what-if query body-bias selection
 // needs (forward bias makes dVth negative). Quantisation matches FmaxHz.
 func (cp *CorePaths) FmaxWithVthShift(dVth, v, tempC float64) float64 {
-	worst := 0.0
-	for _, p := range cp.paths {
-		d := cp.tech.AlphaPowerDelay(p.vth+dVth, p.leff, v, tempC)
-		if d > worst {
-			worst = d
-		}
-	}
-	if math.IsInf(worst, 1) || worst <= 0 {
-		return 0
-	}
-	f := cp.tech.FNominalHz / worst
-	if cp.cfg.FStepHz > 0 {
-		f = math.Floor(f/cp.cfg.FStepHz) * cp.cfg.FStepHz
-	}
-	return f
+	k := cp.tech.DelayKernel(tempC)
+	return cp.fmaxFor(cp.worstDelay(&k, dVth, v, tempC))
 }
 
 // VFTable returns the manufacturer-provided (voltage, frequency) table for
@@ -154,10 +147,10 @@ func (cp *CorePaths) FmaxWithVthShift(dVth, v, tempC float64) float64 {
 // frequency the core sustains. Entries with zero frequency (infeasible
 // operating points) are omitted.
 func (cp *CorePaths) VFTable(levels []float64, tempC float64) []VF {
-	var out []VF
+	k := cp.tech.DelayKernel(tempC)
+	out := make([]VF, 0, len(levels))
 	for _, v := range levels {
-		f := cp.FmaxHz(v, tempC)
-		if f > 0 {
+		if f := cp.fmaxFor(cp.worstDelay(&k, 0, v, tempC)); f > 0 {
 			out = append(out, VF{V: v, F: f})
 		}
 	}

@@ -6,10 +6,11 @@ import (
 
 	"vasched/internal/floorplan"
 	"vasched/internal/stats"
+	"vasched/internal/tech"
 	"vasched/internal/varmodel"
 )
 
-func buildTestCore(t *testing.T, sigmaOverMu float64, core int, seed int64) *CorePaths {
+func buildTestCore(t testing.TB, sigmaOverMu float64, core int, seed int64) *CorePaths {
 	t.Helper()
 	cfg := varmodel.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 64, 64
@@ -191,5 +192,90 @@ func TestWorstDelayInfeasibleLowVoltage(t *testing.T) {
 	// than something tiny-but-positive built from an Inf delay.
 	if f := cp.FmaxHz(0.27, 95); f != 0 {
 		t.Fatalf("near-threshold Fmax = %v, want 0", f)
+	}
+}
+
+// refFmax is the reference frequency model: the worst AlphaPowerDelay over
+// the core's paths with thresholds shifted by dVth, quantised to the PLL
+// grid.
+func refFmax(cp *CorePaths, dVth, v, tempC float64) float64 {
+	worst := 0.0
+	for _, p := range cp.paths {
+		if d := cp.tech.AlphaPowerDelay(p.vth+dVth, p.leff, v, tempC); d > worst {
+			worst = d
+		}
+	}
+	if math.IsInf(worst, 1) || worst <= 0 {
+		return 0
+	}
+	return math.Floor(cp.tech.FNominalHz/worst/cp.cfg.FStepHz) * cp.cfg.FStepHz
+}
+
+// TestFmaxBitIdenticalToReference checks VFTable, FmaxHz and
+// FmaxWithVthShift bit for bit against refFmax for every core of a
+// 128x128 die.
+func TestFmaxBitIdenticalToReference(t *testing.T) {
+	cfg := varmodel.DefaultConfig()
+	cfg.GridRows, cfg.GridCols = 128, 128
+	g, err := varmodel.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps, err := g.Die(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := floorplan.New20CoreCMP()
+	p := tech.Default()
+	rng := stats.NewRNG(maps.Seed).Derive(101)
+	for core := 0; core < fp.NumCores; core++ {
+		cp, err := BuildCore(maps, fp, core, rng.Derive(int64(core)), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []VF
+		for _, v := range p.VoltageLevels() {
+			if f := refFmax(cp, 0, v, p.TRatingC); f > 0 {
+				want = append(want, VF{V: v, F: f})
+			}
+		}
+		got := cp.VFTable(p.VoltageLevels(), p.TRatingC)
+		if len(got) != len(want) {
+			t.Fatalf("core %d: VFTable has %d entries, reference %d", core, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].V != want[i].V || math.Float64bits(got[i].F) != math.Float64bits(want[i].F) {
+				t.Fatalf("core %d entry %d: %+v, reference %+v", core, i, got[i], want[i])
+			}
+		}
+		for _, tc := range []float64{p.TRefC, 80, p.TRatingC} {
+			for _, v := range []float64{0.3, 0.6, 0.85, 1.0} {
+				if got, want := cp.FmaxHz(v, tc), refFmax(cp, 0, v, tc); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("core %d FmaxHz(%v, %v) = %v, reference %v", core, v, tc, got, want)
+				}
+				for _, dv := range []float64{-0.04, -0.01, 0.02, 0.05} {
+					got, want := cp.FmaxWithVthShift(dv, v, tc), refFmax(cp, dv, v, tc)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("core %d FmaxWithVthShift(%v, %v, %v) = %v, reference %v", core, dv, v, tc, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkVFTable is one core's manufacturer table: the worst-path delay
+// kernel over the voltage ladder at the rating temperature, the loop that
+// dominates chip.Build.
+func BenchmarkVFTable(b *testing.B) {
+	cp := buildTestCore(b, 0.12, 0, 5)
+	p := tech.Default()
+	levels := p.VoltageLevels()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(cp.VFTable(levels, p.TRatingC)) == 0 {
+			b.Fatal("empty VF table")
+		}
 	}
 }

@@ -351,3 +351,25 @@ func BenchmarkDynamicStep(b *testing.B) {
 	}
 	b.ReportMetric(50, "sim_ms/op")
 }
+
+// BenchmarkAgeMaps is one wearout epoch's map drift: copying the
+// systematic Vth field and shifting every core cell. The floorplan's cell
+// index is built on the first call and reused by every later epoch, so
+// the warm-up call stays outside the timer.
+func BenchmarkAgeMaps(b *testing.B) {
+	c, _ := testParts(b)
+	dVth := make([]float64, c.NumCores())
+	for core := range dVth {
+		dVth[core] = 0.002 * float64(core)
+	}
+	if _, err := AgeMaps(c.Maps, c.FP, dVth); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AgeMaps(c.Maps, c.FP, dVth); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -153,21 +153,15 @@ func AgeMaps(maps *varmodel.DieMaps, fp *floorplan.Floorplan, dVth []float64) (*
 	field.Data = append([]float64(nil), maps.VthSys.Data...)
 	clone.VthSys = &field
 
-	rows, cols := field.Rows, field.Cols
-	for r := 0; r < rows; r++ {
-		y := (float64(r) + 0.5) / float64(rows)
-		for c := 0; c < cols; c++ {
-			x := (float64(c) + 0.5) / float64(cols)
-			bi := fp.BlockAt(x, y)
-			if bi < 0 {
-				continue
-			}
-			core := fp.Blocks[bi].Core
-			if core < 0 {
-				continue // L2 does not drift
-			}
-			field.Data[r*cols+c] += dVth[core]
+	for cell, bi := range fp.GridBlocks(field.Rows, field.Cols) {
+		if bi < 0 {
+			continue
 		}
+		core := fp.Blocks[bi].Core
+		if core < 0 {
+			continue // L2 does not drift
+		}
+		field.Data[cell] += dVth[core]
 	}
 	return &clone, nil
 }

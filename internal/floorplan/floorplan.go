@@ -12,6 +12,7 @@ package floorplan
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Rect is an axis-aligned rectangle in normalised chip coordinates
@@ -136,6 +137,11 @@ type Floorplan struct {
 	coreRects []Rect
 	byCore    [][]int // indices into Blocks per core
 	l2Blocks  []int
+
+	// gridMu guards grids, the GridBlocks indices keyed by grid shape: a
+	// floorplan is shared by every die (and every worker) of a run.
+	gridMu sync.Mutex
+	grids  map[[2]int][]int
 }
 
 // DieEdgeMM returns the physical edge length of the (square) die in mm.
@@ -176,6 +182,33 @@ func (f *Floorplan) BlockAt(x, y float64) int {
 		}
 	}
 	return -1
+}
+
+// GridBlocks returns, row-major for a rows x cols grid over the die, the
+// index of the block containing each cell centre ((c+0.5)/cols,
+// (r+0.5)/rows) as BlockAt reports it, -1 included. The index is computed
+// once per grid shape and shared: callers must not modify it. It is safe
+// for concurrent use.
+func (f *Floorplan) GridBlocks(rows, cols int) []int {
+	f.gridMu.Lock()
+	defer f.gridMu.Unlock()
+	key := [2]int{rows, cols}
+	if idx, ok := f.grids[key]; ok {
+		return idx
+	}
+	idx := make([]int, rows*cols)
+	for r := 0; r < rows; r++ {
+		y := (float64(r) + 0.5) / float64(rows)
+		for c := 0; c < cols; c++ {
+			x := (float64(c) + 0.5) / float64(cols)
+			idx[r*cols+c] = f.BlockAt(x, y)
+		}
+	}
+	if f.grids == nil {
+		f.grids = make(map[[2]int][]int)
+	}
+	f.grids[key] = idx
+	return idx
 }
 
 // New20CoreCMP builds the paper's Figure 3 layout: 20 cores in four rows of

@@ -3,6 +3,7 @@ package floorplan
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -186,5 +187,53 @@ func TestCoreUnitKindsComplete(t *testing.T) {
 			t.Fatalf("duplicate kind %v", k)
 		}
 		seen[k] = true
+	}
+}
+
+// TestGridBlocksMatchesBlockAt checks the memoised cell-centre index
+// against BlockAt for every cell of square and non-square grids, and that
+// a repeated call returns the cached slice.
+func TestGridBlocksMatchesBlockAt(t *testing.T) {
+	f := New20CoreCMP()
+	for _, shape := range [][2]int{{128, 128}, {256, 256}, {96, 160}} {
+		rows, cols := shape[0], shape[1]
+		idx := f.GridBlocks(rows, cols)
+		if len(idx) != rows*cols {
+			t.Fatalf("%dx%d: %d cells", rows, cols, len(idx))
+		}
+		for r := 0; r < rows; r++ {
+			y := (float64(r) + 0.5) / float64(rows)
+			for c := 0; c < cols; c++ {
+				x := (float64(c) + 0.5) / float64(cols)
+				if want := f.BlockAt(x, y); idx[r*cols+c] != want {
+					t.Fatalf("%dx%d cell (%d,%d): %d, BlockAt %d", rows, cols, r, c, idx[r*cols+c], want)
+				}
+			}
+		}
+		if again := f.GridBlocks(rows, cols); &again[0] != &idx[0] {
+			t.Fatalf("%dx%d: second call rebuilt the index", rows, cols)
+		}
+	}
+}
+
+// TestGridBlocksConcurrentFirstCall races first calls for one shape from
+// several goroutines (run under -race); all must see the same index.
+func TestGridBlocksConcurrentFirstCall(t *testing.T) {
+	f := New20CoreCMP()
+	const n = 8
+	got := make([][]int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = f.GridBlocks(64, 64)
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("goroutine %d got a different index", i)
+		}
 	}
 }

@@ -137,7 +137,8 @@ func (p Params) VthAtTemp(vthRef, tempC float64) float64 {
 //	d ~ Leff * V / (V - Vth)^alpha
 //
 // with carrier mobility degrading as temperature rises (T^1.5 scattering),
-// which slows circuits at high temperature.
+// which slows circuits at high temperature. It is the reference form of
+// DelayKernel, which the characterisation loop uses.
 func (p Params) AlphaPowerDelay(vth, leff, v, tempC float64) float64 {
 	vthT := p.VthAtTemp(vth, tempC)
 	overdrive := v - vthT
@@ -153,6 +154,41 @@ func (p Params) AlphaPowerDelay(vth, leff, v, tempC float64) float64 {
 	num := (leff / p.LeffNominal) * (v / math.Pow(overdrive, p.Alpha))
 	den := p.VddNominal / math.Pow(nomOver, p.Alpha)
 	return num / den / mobility
+}
+
+// DelayKernel evaluates AlphaPowerDelay at one temperature on the
+// characterisation hot path: the mobility factor and the nominal device's
+// normalising delay are computed once, leaving one Pow per path and
+// supply. Every expression keeps the reference's shape and operation
+// order, so the results are bit-identical to AlphaPowerDelay.
+type DelayKernel struct {
+	alpha float64
+	// mobility is the T^1.5 mobility factor at the kernel's temperature;
+	// den is VddNominal / (nominal overdrive at TRatingC)^Alpha.
+	mobility, den float64
+}
+
+// DelayKernel returns the kernel for temperature tempC.
+func (p Params) DelayKernel(tempC float64) DelayKernel {
+	nomVth := p.VthAtTemp(p.VthNominal, p.TRatingC)
+	nomOver := p.VddNominal - nomVth
+	return DelayKernel{
+		alpha:    p.Alpha,
+		mobility: math.Pow((p.TRatingC+273.15)/(tempC+273.15), 1.5),
+		den:      p.VddNominal / math.Pow(nomOver, p.Alpha),
+	}
+}
+
+// Delay returns AlphaPowerDelay(vth, leff, v, tempC) at the kernel's
+// temperature tempC, given vthT = VthAtTemp(vth, tempC) and
+// leffRel = leff/LeffNominal.
+func (k *DelayKernel) Delay(vthT, leffRel, v float64) float64 {
+	overdrive := v - vthT
+	if overdrive <= 0.02 {
+		return math.Inf(1)
+	}
+	num := leffRel * (v / math.Pow(overdrive, k.alpha))
+	return num / k.den / k.mobility
 }
 
 // LeakageFactor returns the relative subthreshold leakage current of a

@@ -196,3 +196,40 @@ func TestLeakageKernelBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestDelayKernelBitIdentical checks the hoisted delay kernel against
+// AlphaPowerDelay bit for bit over the voltage ladder, the reference and
+// rating temperatures plus 45-110 C, and a spread of thresholds and gate
+// lengths, including thresholds at or past the overdrive cut, where both
+// must return +Inf.
+func TestDelayKernelBitIdentical(t *testing.T) {
+	p := Default()
+	temps := []float64{p.TRefC, p.TRatingC}
+	for tc := 45.0; tc <= 110; tc += 1.25 {
+		temps = append(temps, tc)
+	}
+	infs := 0
+	for _, tc := range temps {
+		k := p.DelayKernel(tc)
+		for _, v := range p.VoltageLevels() {
+			for _, dvth := range []float64{-0.08, -0.031, 0, 0.017, 0.06, 0.3, 0.33, 0.35, 0.5} {
+				vth := p.VthNominal + dvth
+				for _, leffScale := range []float64{0.5, 0.87, 1, 1.13, 1.4} {
+					leff := p.LeffNominal * leffScale
+					want := p.AlphaPowerDelay(vth, leff, v, tc)
+					got := k.Delay(p.VthAtTemp(vth, tc), leff/p.LeffNominal, v)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v C, %v V, Vth %v, Leff %v: kernel %v, reference %v",
+							tc, v, vth, leff, got, want)
+					}
+					if math.IsInf(want, 1) {
+						infs++
+					}
+				}
+			}
+		}
+	}
+	if infs == 0 {
+		t.Fatal("grid never reached the overdrive cut")
+	}
+}

@@ -53,12 +53,12 @@ var ErrNoConvergence = errors.New("thermal: leakage-temperature fixed point did 
 
 // Model is the assembled RC network for one floorplan.
 type Model struct {
-	cfg    Config
-	fp     *floorplan.Floorplan
-	n      int
-	lu     *linsolve.LU
-	gVert  []float64 // per-block vertical conductance, W/K
-	blocks []floorplan.Block
+	cfg   Config
+	fp    *floorplan.Floorplan
+	n     int
+	lu    *linsolve.LU
+	gVert []float64 // per-block vertical conductance, W/K
+	area  []float64 // per-block area, normalised units
 }
 
 // New builds the conductance matrix for fp and factors it once; Solve then
@@ -77,7 +77,11 @@ func New(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("thermal: factoring conductance matrix: %w", err)
 	}
-	return &Model{cfg: cfg, fp: fp, n: n, lu: lu, gVert: gVert, blocks: fp.Blocks}, nil
+	area := make([]float64, n)
+	for i, b := range fp.Blocks {
+		area[i] = b.R.Area()
+	}
+	return &Model{cfg: cfg, fp: fp, n: n, lu: lu, gVert: gVert, area: area}, nil
 }
 
 // SystemMatrix returns the n x n row-major matrix the model factors for
@@ -274,14 +278,12 @@ func (m *Model) AmbientTemps(dst []float64) []float64 {
 }
 
 // CoreMeanTemp returns the area-weighted mean temperature of core c's
-// blocks given a block temperature vector.
+// blocks given a block temperature vector. core must be in
+// [0, NumCores).
 func (m *Model) CoreMeanTemp(tempsC []float64, core int) float64 {
 	var sum, area float64
-	for i, b := range m.blocks {
-		if b.Core != core {
-			continue
-		}
-		a := b.R.Area()
+	for _, i := range m.fp.CoreBlockIndices(core) {
+		a := m.area[i]
 		sum += tempsC[i] * a
 		area += a
 	}

@@ -3,6 +3,7 @@ package thermal
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"vasched/internal/floorplan"
@@ -330,5 +331,35 @@ func TestTransientValidation(t *testing.T) {
 	}
 	if _, err := tr.Step([]float64{1}, []float64{2}); err == nil {
 		t.Fatal("wrong-size step accepted")
+	}
+}
+
+// TestCoreMeanTempMatchesFullScan checks the indexed core mean against the
+// full-floorplan scan it replaced, bit for bit, over random temperature
+// vectors.
+func TestCoreMeanTempMatchesFullScan(t *testing.T) {
+	m := newTestModel(t)
+	fp := floorplan.New20CoreCMP()
+	rng := rand.New(rand.NewSource(7))
+	temps := make([]float64, len(fp.Blocks))
+	for trial := 0; trial < 200; trial++ {
+		for i := range temps {
+			temps[i] = 45 + 70*rng.Float64()
+		}
+		for core := 0; core < fp.NumCores; core++ {
+			var sum, area float64
+			for i, b := range fp.Blocks {
+				if b.Core != core {
+					continue
+				}
+				a := b.R.Area()
+				sum += temps[i] * a
+				area += a
+			}
+			want := sum / area
+			if got := m.CoreMeanTemp(temps, core); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d core %d: %v, full scan %v", trial, core, got, want)
+			}
+		}
 	}
 }

@@ -7,13 +7,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"vasched"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the example, writing its report to w.
+func run(w io.Writer) error {
 	const dies = 30
 
 	type bin struct {
@@ -29,7 +38,7 @@ func main() {
 		opt.GridSize = 128 // coarser maps are plenty for binning statistics
 		plat, err := vasched.NewPlatform(opt)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		b := bin{die: die, slowGHz: 1e18, leakMin: 1e18}
 		for core := 0; core < plat.NumCores(); core++ {
@@ -52,17 +61,18 @@ func main() {
 	}
 
 	sort.Slice(bins, func(i, j int) bool { return bins[i].slowGHz > bins[j].slowGHz })
-	fmt.Printf("%d dies sorted by shippable (slowest-core) frequency:\n", dies)
-	fmt.Printf("%-6s %10s %10s %8s %14s\n", "die", "slow(GHz)", "fast(GHz)", "spread", "leak min..max")
+	fmt.Fprintf(w, "%d dies sorted by shippable (slowest-core) frequency:\n", dies)
+	fmt.Fprintf(w, "%-6s %10s %10s %8s %14s\n", "die", "slow(GHz)", "fast(GHz)", "spread", "leak min..max")
 	for _, b := range bins {
-		fmt.Printf("%-6d %10.2f %10.2f %7.0f%% %7.1f..%.1f W\n",
+		fmt.Fprintf(w, "%-6d %10.2f %10.2f %7.0f%% %7.1f..%.1f W\n",
 			b.die, b.slowGHz, b.fastGHz, (b.fastGHz/b.slowGHz-1)*100, b.leakMin, b.leakMax)
 	}
 
 	best, worst := bins[0], bins[len(bins)-1]
-	fmt.Printf("\nbinning value: the best die ships %.0f%% faster than the worst in a\n",
+	fmt.Fprintf(w, "\nbinning value: the best die ships %.0f%% faster than the worst in a\n",
 		(best.slowGHz/worst.slowGHz-1)*100)
-	fmt.Println("UniFreq world; per-core frequency domains (NUniFreq) recover the")
-	fmt.Printf("fast cores on every die — up to %.0f%% headroom on the worst die alone.\n",
+	fmt.Fprintln(w, "UniFreq world; per-core frequency domains (NUniFreq) recover the")
+	fmt.Fprintf(w, "fast cores on every die — up to %.0f%% headroom on the worst die alone.\n",
 		(worst.fastGHz/worst.slowGHz-1)*100)
+	return nil
 }

@@ -10,22 +10,31 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vasched"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the example, writing its report to w.
+func run(w io.Writer) error {
 	plat, err := vasched.NewPlatform(vasched.DefaultOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	apps := []string{"vortex", "applu", "crafty", "bzip2", "gap", "gzip",
 		"parser", "mgrid", "twolf", "swim", "art", "equake"}
 
-	fmt.Println("12 threads, NUniFreq, 500 ms with thermal inertia (100 ms warmup excluded):")
-	fmt.Printf("%-12s %10s %10s %10s %14s\n", "policy", "MIPS", "power(W)", "maxT(C)", "worst aging")
+	fmt.Fprintln(w, "12 threads, NUniFreq, 500 ms with thermal inertia (100 ms warmup excluded):")
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %14s\n", "policy", "MIPS", "power(W)", "maxT(C)", "worst aging")
 	for _, policy := range []string{vasched.SchedRandom, vasched.SchedVarPAppP, vasched.SchedTempAware} {
 		sys, err := plat.NewSystem(vasched.SystemConfig{
 			Scheduler:        policy,
@@ -35,17 +44,18 @@ func main() {
 			WarmupMS:         100,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		st, err := sys.Run(apps, 500)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-12s %10.0f %10.1f %10.1f %13.2fx\n",
+		fmt.Fprintf(w, "%-12s %10.0f %10.1f %10.1f %13.2fx\n",
 			policy, st.MIPS, st.AvgPowerW, st.MaxTempC, st.WearoutMax)
 	}
-	fmt.Println("\nTempAware keeps moving the heat: no core stays hot long enough to")
-	fmt.Println("age fast, so the lifetime-limiting core ages slower at essentially")
-	fmt.Println("no throughput cost. Static pinning (VarP&AppP) saves power but parks")
-	fmt.Println("the hottest threads on the same cores for the whole run.")
+	fmt.Fprintln(w, "\nTempAware keeps moving the heat: no core stays hot long enough to")
+	fmt.Fprintln(w, "age fast, so the lifetime-limiting core ages slower at essentially")
+	fmt.Fprintln(w, "no throughput cost. Static pinning (VarP&AppP) saves power but parks")
+	fmt.Fprintln(w, "the hottest threads on the same cores for the whole run.")
+	return nil
 }

@@ -8,15 +8,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vasched"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the example, writing its report to w.
+func run(w io.Writer) error {
 	plat, err := vasched.NewPlatform(vasched.DefaultOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A workload dominated by phase-heavy applications (bzip2, gzip, art,
@@ -34,15 +43,16 @@ func main() {
 			OSIntervalMS:   2000, // keep the thread map fixed; isolate DVFS
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		st, err := sys.Run(apps, 1500)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("LinOpt every %5.0f ms:  %8.0f MIPS   power %5.1f W (target 60)   |deviation| %5.2f%%\n",
+		fmt.Fprintf(w, "LinOpt every %5.0f ms:  %8.0f MIPS   power %5.1f W (target 60)   |deviation| %5.2f%%\n",
 			intervalMS, st.MIPS, st.AvgPowerW, st.PowerDeviationPct)
 	}
-	fmt.Println("\nshorter intervals track phase changes: power hugs the target and")
-	fmt.Println("the budget freed by low-activity phases is immediately re-spent.")
+	fmt.Fprintln(w, "\nshorter intervals track phase changes: power hugs the target and")
+	fmt.Fprintln(w, "the budget freed by low-activity phases is immediately re-spent.")
+	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vasched"
 )
@@ -19,9 +21,16 @@ type combo struct {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the example, writing its report to w.
+func run(w io.Writer) error {
 	plat, err := vasched.NewPlatform(vasched.DefaultOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// One full-occupancy workload: every SPEC app once, plus repeats.
@@ -39,7 +48,7 @@ func main() {
 	}
 
 	for _, cap := range []float64{50, 65, 80, 95} {
-		fmt.Printf("==== power cap %.0f W ====\n", cap)
+		fmt.Fprintf(w, "==== power cap %.0f W ====\n", cap)
 		var baseMIPS, baseED2 float64
 		for i, cb := range combos {
 			sys, err := plat.NewSystem(vasched.SystemConfig{
@@ -49,19 +58,20 @@ func main() {
 				PTargetW:  cap,
 			})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			st, err := sys.Run(apps, 100)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if i == 0 {
 				baseMIPS, baseED2 = st.MIPS, st.EDSquared
 			}
-			fmt.Printf("%-22s %8.0f MIPS (%+5.1f%%)   P=%5.1f W   ED^2 %+6.1f%%\n",
+			fmt.Fprintf(w, "%-22s %8.0f MIPS (%+5.1f%%)   P=%5.1f W   ED^2 %+6.1f%%\n",
 				cb.label, st.MIPS, (st.MIPS/baseMIPS-1)*100,
 				st.AvgPowerW, (st.EDSquared/baseED2-1)*100)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }

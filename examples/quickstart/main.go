@@ -5,21 +5,30 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vasched"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the example, writing its report to w.
+func run(w io.Writer) error {
 	// A Platform is one manufactured die: because of process variation its
 	// cores differ in maximum frequency and leakage.
 	plat, err := vasched.NewPlatform(vasched.DefaultOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("per-core characterisation (variation makes them differ):")
+	fmt.Fprintln(w, "per-core characterisation (variation makes them differ):")
 	for core := 0; core < plat.NumCores(); core++ {
-		fmt.Printf("  C%-2d  Fmax %.2f GHz   static %.2f W\n",
+		fmt.Fprintf(w, "  C%-2d  Fmax %.2f GHz   static %.2f W\n",
 			core+1, plat.CoreFmaxGHz(core), plat.CoreStaticPowerW(core))
 	}
 
@@ -32,24 +41,25 @@ func main() {
 		PCoreMaxW: 8, // per-core cap; 8 threads may each use a fair share
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	apps := []string{"bzip2", "mcf", "vortex", "swim", "crafty", "art", "gap", "twolf"}
 	stats, err := sys.Run(apps, 200) // 200 ms of simulated time
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\n8 threads for %.0f ms under a 40 W budget with %s+%s:\n",
+	fmt.Fprintf(w, "\n8 threads for %.0f ms under a 40 W budget with %s+%s:\n",
 		stats.DurationMS, vasched.SchedVarFAppIPC, vasched.ManagerLinOpt)
-	fmt.Printf("  throughput        %8.0f MIPS (weighted %.2f)\n", stats.MIPS, stats.WeightedThroughput)
-	fmt.Printf("  power             %8.1f W (dyn %.1f + static %.1f)\n",
+	fmt.Fprintf(w, "  throughput        %8.0f MIPS (weighted %.2f)\n", stats.MIPS, stats.WeightedThroughput)
+	fmt.Fprintf(w, "  power             %8.1f W (dyn %.1f + static %.1f)\n",
 		stats.AvgPowerW, stats.DynPowerW, stats.StaticPowerW)
-	fmt.Printf("  deviation from target %5.2f%%\n", stats.PowerDeviationPct)
-	fmt.Printf("  mean frequency    %8.2f GHz, hottest block %.1f C\n",
+	fmt.Fprintf(w, "  deviation from target %5.2f%%\n", stats.PowerDeviationPct)
+	fmt.Fprintf(w, "  mean frequency    %8.2f GHz, hottest block %.1f C\n",
 		stats.AvgFrequencyGHz, stats.MaxTempC)
 	for i, app := range apps {
-		fmt.Printf("  %-8s ran %7.0f M instructions\n", app, stats.InstructionsM[i])
+		fmt.Fprintf(w, "  %-8s ran %7.0f M instructions\n", app, stats.InstructionsM[i])
 	}
+	return nil
 }

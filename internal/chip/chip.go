@@ -149,6 +149,16 @@ func (c *Chip) FmaxNominal(core int) float64 {
 	return c.FmaxAt(core, c.Tech.VddNominal)
 }
 
+// MinFmaxNominal returns the slowest core's rated frequency at the
+// nominal supply: the clock of a UniFreq chip.
+func (c *Chip) MinFmaxNominal() float64 {
+	f := c.FmaxNominal(0)
+	for core := 1; core < c.NumCores(); core++ {
+		f = min(f, c.FmaxNominal(core))
+	}
+	return f
+}
+
 // MinLevelIndex returns the lowest ladder index at which core has a
 // feasible operating point.
 func (c *Chip) MinLevelIndex(core int) int {
@@ -219,19 +229,8 @@ type EvalResult struct {
 }
 
 // assembleDynamic computes per-block dynamic power and per-core IPC for
-// the given states. dyn and coreDyn are caller-provided buffers (cleared
-// here); coreIPC is freshly allocated because it escapes into the result.
-func (c *Chip) assembleDynamic(dyn, coreDyn []float64, states []CoreState, cpu *cpusim.Model) (coreIPC []float64, err error) {
-	coreIPC = make([]float64, c.NumCores())
-	if err := c.assembleDynamicInto(dyn, coreDyn, coreIPC, states, cpu); err != nil {
-		return nil, err
-	}
-	return coreIPC, nil
-}
-
-// assembleDynamicInto is assembleDynamic with a caller-provided coreIPC
-// buffer — the zero-allocation form the time-stepped simulations use.
-func (c *Chip) assembleDynamicInto(dyn, coreDyn, coreIPC []float64, states []CoreState, cpu *cpusim.Model) error {
+// the given states into caller-provided buffers (cleared here).
+func (c *Chip) assembleDynamic(dyn, coreDyn, coreIPC []float64, states []CoreState, cpu *cpusim.Model) error {
 	if len(states) != c.NumCores() {
 		return fmt.Errorf("chip: %d states for %d cores", len(states), c.NumCores())
 	}
@@ -266,8 +265,10 @@ func (c *Chip) assembleDynamicInto(dyn, coreDyn, coreIPC []float64, states []Cor
 	}
 
 	// Distribute core dynamic power over units and L2 dynamic over banks.
+	l2Banks := 0
 	for bi, b := range c.FP.Blocks {
 		if b.Kind == floorplan.UnitL2 {
+			l2Banks++
 			continue
 		}
 		st := states[b.Core]
@@ -281,10 +282,9 @@ func (c *Chip) assembleDynamicInto(dyn, coreDyn, coreIPC []float64, states []Cor
 		dyn[bi] = coreDyn[b.Core] * dynSplit[b.Kind][idx]
 	}
 	l2DynTotal := c.Power.L2DynamicW(l2Accesses)
-	l2Blocks := c.FP.L2Blocks()
 	for bi, b := range c.FP.Blocks {
 		if b.Kind == floorplan.UnitL2 {
-			dyn[bi] = l2DynTotal / float64(len(l2Blocks))
+			dyn[bi] = l2DynTotal / float64(l2Banks)
 		}
 	}
 	return nil
@@ -314,20 +314,30 @@ func (c *Chip) leakageFn(leak []float64, states []CoreState) func(temps []float6
 // given core states, using cpu to obtain per-thread IPC and the Su et al.
 // leakage-temperature fixed point for the static power.
 func (c *Chip) Evaluate(states []CoreState, cpu *cpusim.Model) (*EvalResult, error) {
-	sc := c.getScratch()
-	defer c.evalPool.Put(sc)
-	coreIPC, err := c.assembleDynamic(sc.dyn, sc.coreDyn, states, cpu)
-	if err != nil {
+	res := &EvalResult{}
+	if err := c.EvaluateInto(res, states, cpu); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// EvaluateInto is Evaluate writing into a caller-owned result: out's
+// slices are reused when already sized for this chip, so a sampling loop
+// allocates nothing per call after the first.
+func (c *Chip) EvaluateInto(out *EvalResult, states []CoreState, cpu *cpusim.Model) error {
+	sc, err := c.beginEval(out, states, cpu)
+	if err != nil {
+		return err
+	}
+	defer c.evalPool.Put(sc)
 	temps, leak, iters, err := c.Therm.FixedPointWith(sc.fps, sc.dyn, c.leakageFn(sc.leak, states), 0.01, 60)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// temps aliases the pooled scratch; the result retains its own copy.
-	tout := make([]float64, len(temps))
-	copy(tout, temps)
-	return c.buildResult(states, sc.dyn, leak, tout, coreIPC, iters), nil
+	// temps aliases the pooled scratch; the result keeps its own copy.
+	copy(out.BlockTempC, temps)
+	c.buildResult(out, sc.dyn, leak, iters)
+	return nil
 }
 
 // EvaluateTransient advances the chip's thermal state by dtMS from
@@ -345,49 +355,52 @@ func (c *Chip) EvaluateTransient(states []CoreState, cpu *cpusim.Model, prevBloc
 }
 
 // EvaluateTransientInto is EvaluateTransient writing into a caller-owned
-// result: out's slices are reused when already sized for this chip, so a
-// tight stepping loop (internal/dynamic) allocates nothing per tick after
-// the first call. prevBlockTemps must not alias out.BlockTempC — keep a
-// separate previous-temperature buffer and copy out.BlockTempC into it
-// between steps.
+// result, reusing its slices like EvaluateInto. prevBlockTemps must not
+// alias out.BlockTempC — keep a separate previous-temperature buffer and
+// copy out.BlockTempC into it between steps.
 func (c *Chip) EvaluateTransientInto(out *EvalResult, states []CoreState, cpu *cpusim.Model, prevBlockTemps []float64, dtMS float64) error {
-	sc := c.getScratch()
-	defer c.evalPool.Put(sc)
-	nb := len(c.FP.Blocks)
-	nc := c.NumCores()
-	if len(out.CorePowerW) != nc {
-		out.CorePowerW = make([]float64, nc)
-	}
-	if len(out.CoreTempC) != nc {
-		out.CoreTempC = make([]float64, nc)
-	}
-	if len(out.CoreIPC) != nc {
-		out.CoreIPC = make([]float64, nc)
-	}
-	if len(out.BlockTempC) != nb {
-		out.BlockTempC = make([]float64, nb)
-	}
-	dyn := sc.dyn
-	if err := c.assembleDynamicInto(dyn, sc.coreDyn, out.CoreIPC, states, cpu); err != nil {
-		return err
-	}
 	stepper, err := c.stepperFor(dtMS)
 	if err != nil {
 		return err
 	}
+	sc, err := c.beginEval(out, states, cpu)
+	if err != nil {
+		return err
+	}
+	defer c.evalPool.Put(sc)
 	if prevBlockTemps == nil {
 		prevBlockTemps = c.Therm.AmbientTemps(nil)
 	}
 	leak := c.leakageFn(sc.leak, states)(prevBlockTemps)
-	total := sc.total
-	for i := range total {
-		total[i] = dyn[i] + leak[i]
+	for i := range sc.total {
+		sc.total[i] = sc.dyn[i] + leak[i]
 	}
-	if err := stepper.StepInto(out.BlockTempC, sc.rhs, total, prevBlockTemps); err != nil {
+	if err := stepper.StepInto(out.BlockTempC, sc.rhs, sc.total, prevBlockTemps); err != nil {
 		return err
 	}
-	c.buildResultInto(out, states, dyn, leak, out.BlockTempC, 1)
+	c.buildResult(out, sc.dyn, leak, 1)
 	return nil
+}
+
+// beginEval sizes out's slices for this chip and assembles the states'
+// dynamic power into pooled scratch (returned for the caller to put back)
+// and their IPC into out.CoreIPC.
+func (c *Chip) beginEval(out *EvalResult, states []CoreState, cpu *cpusim.Model) (*evalScratch, error) {
+	nc := c.NumCores()
+	for _, s := range []*[]float64{&out.CorePowerW, &out.CoreTempC, &out.CoreIPC} {
+		if len(*s) != nc {
+			*s = make([]float64, nc)
+		}
+	}
+	if len(out.BlockTempC) != len(c.FP.Blocks) {
+		out.BlockTempC = make([]float64, len(c.FP.Blocks))
+	}
+	sc := c.getScratch()
+	if err := c.assembleDynamic(sc.dyn, sc.coreDyn, out.CoreIPC, states, cpu); err != nil {
+		c.evalPool.Put(sc)
+		return nil, err
+	}
+	return sc, nil
 }
 
 // stepperFor returns the cached transient stepper for dtMS, factorising on
@@ -413,23 +426,9 @@ func (c *Chip) stepperFor(dtMS float64) (*thermal.Transient, error) {
 	return stepper, nil
 }
 
-// buildResult aggregates per-block power and temperatures into the
-// caller-facing summary.
-func (c *Chip) buildResult(states []CoreState, dyn, leak, temps []float64, coreIPC []float64, iters int) *EvalResult {
-	res := &EvalResult{
-		CorePowerW: make([]float64, c.NumCores()),
-		CoreTempC:  make([]float64, c.NumCores()),
-		CoreIPC:    coreIPC,
-		BlockTempC: temps,
-	}
-	c.buildResultInto(res, states, dyn, leak, temps, iters)
-	return res
-}
-
-// buildResultInto fills res's aggregates in place. res.CorePowerW,
-// res.CoreTempC and res.BlockTempC must already be sized; temps may alias
+// buildResult fills res's aggregates in place from per-block power and
 // res.BlockTempC.
-func (c *Chip) buildResultInto(res *EvalResult, states []CoreState, dyn, leak, temps []float64, iters int) {
+func (c *Chip) buildResult(res *EvalResult, dyn, leak []float64, iters int) {
 	res.TotalW, res.DynW, res.StaticW, res.L2PowerW = 0, 0, 0, 0
 	res.ThermalIters = iters
 	clear(res.CorePowerW)
@@ -445,7 +444,7 @@ func (c *Chip) buildResultInto(res *EvalResult, states []CoreState, dyn, leak, t
 		}
 	}
 	for core := 0; core < c.NumCores(); core++ {
-		res.CoreTempC[core] = c.Therm.CoreMeanTemp(temps, core)
+		res.CoreTempC[core] = c.Therm.CoreMeanTemp(res.BlockTempC, core)
 	}
 }
 

@@ -220,6 +220,52 @@ func TestEvaluateDeterministic(t *testing.T) {
 	}
 }
 
+// TestEvaluateIntoMatchesEvaluate: the caller-owned form must reproduce
+// the allocating form bit for bit, even into a result left dirty by a
+// different state set (a full chip at 0.9 V, then half the cores at 0.8 V
+// with the rest powered off).
+func TestEvaluateIntoMatchesEvaluate(t *testing.T) {
+	c, cpu := testChip(t)
+	apps := workload.SPEC()
+	full, half := c.OffStates(), c.OffStates()
+	for core := 0; core < c.NumCores(); core++ {
+		full[core] = CoreState{App: apps[core%len(apps)], V: 0.9, F: c.FmaxAt(core, 0.9)}
+		if core%2 == 0 {
+			half[core] = CoreState{App: apps[(core+5)%len(apps)], V: 0.8, F: c.FmaxAt(core, 0.8), ElapsedMS: 40}
+		}
+	}
+	var reused EvalResult
+	for _, st := range [][]CoreState{full, half, full} {
+		want, err := c.Evaluate(st, cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.EvaluateInto(&reused, st, cpu); err != nil {
+			t.Fatal(err)
+		}
+		sameBits := func(name string, got, want []float64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d entries, want %d", name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s[%d]: %v, want %v", name, i, got[i], want[i])
+				}
+			}
+		}
+		sameBits("totals", []float64{reused.TotalW, reused.DynW, reused.StaticW, reused.L2PowerW},
+			[]float64{want.TotalW, want.DynW, want.StaticW, want.L2PowerW})
+		sameBits("CorePowerW", reused.CorePowerW, want.CorePowerW)
+		sameBits("CoreTempC", reused.CoreTempC, want.CoreTempC)
+		sameBits("CoreIPC", reused.CoreIPC, want.CoreIPC)
+		sameBits("BlockTempC", reused.BlockTempC, want.BlockTempC)
+		if reused.ThermalIters != want.ThermalIters {
+			t.Fatalf("ThermalIters %d, want %d", reused.ThermalIters, want.ThermalIters)
+		}
+	}
+}
+
 func TestFrequencyAndLeakageCoupling(t *testing.T) {
 	// Across cores, rated frequency and static power should correlate
 	// positively (fast cores leak more) — the premise of Figure 6.

@@ -1,15 +1,20 @@
-// Package core is the runtime that ties the repository together: a System
-// owns one characterised chip, a scheduling policy, and (optionally) a
-// power manager, and executes the paper's Figure 2 timeline — the OS
-// re-schedules threads every OS interval, the power manager re-solves the
-// per-core (V, f) assignment every DVFS interval, and the chip model
-// integrates instructions, power, and temperature in between.
+// Package core is the tick engine that ties the repository together. A
+// System owns one characterised chip, a scheduling policy and (optionally)
+// a power manager, and executes the paper's Figure 2 timeline: the OS
+// re-maps threads every OS interval, an operating-point controller sets
+// every thread's (V, f), and the chip advances one monitor sample at a
+// time, either to the steady-state leakage-temperature fixed point or by
+// one backward-Euler step of the thermal RC network. The controller is the
+// Table 2 configuration (fixed clocks, or DVFS re-solved by the power
+// manager every DVFS interval) or, in a Scenario run (package dynamic), a
+// thermal-emergency throttle. Every sample reuses buffers the run owns.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"vasched/internal/chip"
@@ -19,6 +24,7 @@ import (
 	"vasched/internal/sched"
 	"vasched/internal/sensors"
 	"vasched/internal/stats"
+	"vasched/internal/trace"
 	"vasched/internal/wearout"
 	"vasched/internal/workload"
 )
@@ -188,12 +194,25 @@ type RunStats struct {
 	DecideCount int
 	// Trace holds per-sample points when Config.CaptureTrace is set.
 	Trace []TracePoint
+	// Steps counts monitor samples; FinalMaxTempC is the hottest block
+	// temperature at the last one.
+	Steps         int
+	FinalMaxTempC float64
+	// Migrations counts threads moved between cores by OS re-maps;
+	// PhaseSwitches counts workload phase-boundary crossings.
+	Migrations    int
+	PhaseSwitches int
+	// WearoutTime is the per-core integrated equivalent stress time (see
+	// wearout.Accumulator.EquivalentTime).
+	WearoutTime []float64
+	// ThrottledMS is the simulated time a Scenario's governor spent with
+	// a non-zero clamp.
+	ThrottledMS float64
 }
 
 // System is a runnable CMP with scheduling and power management.
 type System struct {
 	cfg Config
-	rng *stats.RNG
 }
 
 // New validates cfg and returns a System.
@@ -202,259 +221,317 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}, nil
+	return &System{cfg: cfg}, nil
+}
+
+// Scenario is how the dynamic scenario engine (package dynamic) drives a
+// System's timeline. Its governor replaces Mode's operating points: every
+// thread runs at the top ladder level minus the governor's chip-wide
+// clamp, floored at its core's lowest feasible level, and the governor
+// observes every sample's hottest block to set the clamp for the next.
+type Scenario struct {
+	Governor *pm.ThrottleGovernor
+	// MigrationPenaltyMS stalls a thread each time a re-map moves it.
+	MigrationPenaltyMS float64
+	// StartOffsetsMS, when non-nil, starts each thread part-way into its
+	// phase cycle (one entry per thread).
+	StartOffsetsMS []float64
+	// Wearout calibrates the aging model.
+	Wearout wearout.Params
 }
 
 // Run executes the workload for the given simulated duration and returns
 // aggregate statistics. The number of threads must not exceed the number
-// of cores.
+// of cores. Each run draws its random streams afresh from Config.Seed, so
+// repeated runs of one System on the same input return the same
+// statistics.
 func (s *System) Run(apps []*workload.AppProfile, durationMS float64) (*RunStats, error) {
-	c := s.cfg.Chip
-	if len(apps) == 0 {
+	return s.run(apps, durationMS, Scenario{Wearout: wearout.DefaultParams()})
+}
+
+// RunScenario is Run under the scenario's throttle governor. It keeps the
+// dynamic engine's conventions: it draws no power-manager stream, a cold
+// chip's sensors read the core means of an ambient die, and each sample is
+// traced as a dynamic.step span with dynamic.migrate and
+// dynamic.emergency events.
+func (s *System) RunScenario(sc Scenario, apps []*workload.AppProfile, durationMS float64) (*RunStats, error) {
+	if sc.Governor == nil {
+		return nil, errors.New("core: scenario requires a throttle governor")
+	}
+	return s.run(apps, durationMS, sc)
+}
+
+// run is the tick engine behind Run and RunScenario.
+func (s *System) run(apps []*workload.AppProfile, durationMS float64, sc Scenario) (*RunStats, error) {
+	c, cfg := s.cfg.Chip, &s.cfg
+	nT := len(apps)
+	if nT == 0 {
 		return nil, errors.New("core: empty workload")
 	}
-	if len(apps) > c.NumCores() {
-		return nil, fmt.Errorf("core: %d threads exceed %d cores", len(apps), c.NumCores())
+	if nT > c.NumCores() {
+		return nil, fmt.Errorf("core: %d threads exceed %d cores", nT, c.NumCores())
 	}
 	if durationMS <= 0 {
 		return nil, fmt.Errorf("core: non-positive duration %v", durationMS)
 	}
+	if sc.StartOffsetsMS != nil && len(sc.StartOffsetsMS) != nT {
+		return nil, fmt.Errorf("core: %d start offsets for %d threads", len(sc.StartOffsetsMS), nT)
+	}
+	scenario := sc.Governor != nil
+	decides := cfg.Mode == ModeDVFS && !scenario
 
-	noise := sensors.NewNoise(s.cfg.SensorNoise, s.rng.Derive(1))
-	schedRNG := s.rng.Derive(2)
-	pmRNG := s.rng.Derive(3)
-	profRNG := s.rng.Derive(4)
+	rng := stats.NewRNG(cfg.Seed)
+	noise := sensors.NewNoise(cfg.SensorNoise, rng.Derive(1))
+	schedRNG := rng.Derive(2)
+	var pmRNG *stats.RNG
+	if !scenario {
+		pmRNG = rng.Derive(3) // Derive advances rng; scenarios never drew 3
+	}
+	profRNG := rng.Derive(4)
 
 	// Session-capable managers get per-run private state (simplex warm
 	// starts); the shared Config value stays safe for concurrent runs.
-	manager := s.cfg.Manager
+	manager := cfg.Manager
 	if sm, ok := manager.(pm.SessionManager); ok {
 		manager = sm.NewSession()
 	}
-	ctx := s.cfg.Ctx
+	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	coreInfos := sensors.CoreInfos(c)
-	aging, err := wearout.NewAccumulator(wearout.DefaultParams(), c.NumCores())
+	aging, err := wearout.NewAccumulator(sc.Wearout, c.NumCores())
 	if err != nil {
 		return nil, err
 	}
-	nT := len(apps)
 	elapsed := make([]float64, nT)
-	instructions := make([]float64, nT)
+	copy(elapsed, sc.StartOffsetsMS)
 	refIPS := make([]float64, nT)
+	phaseIdx := make([]int, nT)
 	for i, a := range apps {
-		ipc, err := s.cfg.CPU.SteadyIPC(a, c.Tech.FNominalHz)
+		ipc, err := cfg.CPU.SteadyIPC(a, c.Tech.FNominalHz)
 		if err != nil {
 			return nil, err
 		}
 		refIPS[i] = ipc * c.Tech.FNominalHz
+		phaseIdx[i], _ = a.PhaseIndexAt(elapsed[i])
+	}
+	// UniFreq caps every clock at the slowest core's rated Fmax.
+	fcap := math.Inf(1)
+	if cfg.Mode == ModeUniFreq {
+		fcap = c.MinFmaxNominal()
 	}
 
-	// UniFreq: the chip-wide frequency is the slowest core's rated Fmax.
-	uniFreq := 0.0
-	if s.cfg.Mode == ModeUniFreq {
-		uniFreq = c.FmaxNominal(0)
-		for core := 1; core < c.NumCores(); core++ {
-			if f := c.FmaxNominal(core); f < uniFreq {
-				uniFreq = f
+	// Per-sample state, reused so the loop allocates nothing per sample.
+	// prevTemps chains the transient thermal state; it must not alias
+	// eval.BlockTempC.
+	coreInfos := sensors.CoreInfos(c)
+	states := c.OffStates()
+	prevTemps := c.Therm.AmbientTemps(nil)
+	levels := make([]int, nT) // ladder level per thread
+	stallMS := make([]float64, nT)
+	ipcs := make([]float64, nT)
+	freqs := make([]float64, nT)
+	coreVolts := make([]float64, c.NumCores())
+	top := len(c.Levels) - 1
+	var (
+		eval                                                chip.EvalResult
+		last                                                *chip.EvalResult // nil until the first sample
+		assignment                                          sched.Assignment
+		snap                                                platformSnapshot
+		powerAcc, dynAcc, statAcc, mipsAcc, wtpAcc, freqAcc metrics.Accumulator
+		sp                                                  *trace.ActiveSpan
+	)
+	deviation := metrics.NewDeviationTracker(cfg.Budget.PTargetW)
+	out := &RunStats{DurationMS: durationMS, Instructions: make([]float64, nT)}
+	fail := func(err error) (*RunStats, error) {
+		sp.End()
+		return nil, err
+	}
+
+	now, nextOS, nextDVFS := 0.0, 0.0, 0.0
+	for now < durationMS-1e-9 {
+		dt := min(cfg.SampleIntervalMS, durationMS-now)
+		stepCtx := ctx
+		sp = nil // the span fail ends
+		if scenario {
+			if stepCtx, sp = trace.Start(ctx, "dynamic.step"); sp != nil {
+				sp.AddAttr(trace.Int("tick", out.Steps), trace.Int("depth", sc.Governor.Depth()))
 			}
 		}
-	}
 
-	var (
-		powerAcc, dynAcc, statAcc, mipsAcc, wtpAcc, freqAcc metrics.Accumulator
-		deviation                                           = metrics.NewDeviationTracker(s.cfg.Budget.PTargetW)
-		maxTemp                                             float64
-		decideTime                                          time.Duration
-		decideCount                                         int
-	)
-
-	var assignment sched.Assignment
-	var lastEval *chip.EvalResult
-	var tracePoints []TracePoint
-	levels := make([]int, nT) // active-core ladder levels (ModeDVFS)
-	stallMS := make([]float64, nT)
-	vTop := len(c.Levels) - 1
-
-	now := 0.0
-	nextOS := 0.0
-	nextDVFS := 0.0
-	for now < durationMS-1e-9 {
 		// OS scheduling interval: re-profile and re-map threads.
 		if now >= nextOS-1e-9 {
-			// Expose current sensor temperatures to temperature-aware
-			// policies; a cold chip reads ambient.
+			// Temperature-aware policies read the last sample's core
+			// temperatures. A cold chip reads ambient; scenario runs read
+			// the core means of the ambient die, which differ from it in
+			// the last bit on some cores and so change TempAware's order.
 			for i := range coreInfos {
-				if lastEval != nil {
-					coreInfos[i].TempC = lastEval.CoreTempC[i]
-				} else {
+				switch {
+				case last != nil:
+					coreInfos[i].TempC = last.CoreTempC[i]
+				case scenario:
+					coreInfos[i].TempC = c.Therm.CoreMeanTemp(prevTemps, i)
+				default:
 					coreInfos[i].TempC = c.Therm.Config().AmbientC
 				}
 			}
-			threadInfos, err := sensors.ProfileThreads(c, s.cfg.CPU, apps, elapsed, noise, profRNG)
+			threadInfos, err := sensors.ProfileThreads(c, cfg.CPU, apps, elapsed, noise, profRNG)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
-			assignment, err = s.cfg.Scheduler.Assign(coreInfos, threadInfos, schedRNG)
+			next, err := cfg.Scheduler.Assign(coreInfos, threadInfos, schedRNG)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
-			if err := assignment.Validate(c.NumCores()); err != nil {
-				return nil, err
+			if err := next.Validate(c.NumCores()); err != nil {
+				return fail(err)
 			}
-			nextOS += s.cfg.OSIntervalMS
+			moved := 0
+			for t := range assignment {
+				if next[t] != assignment[t] {
+					moved++
+					stallMS[t] += sc.MigrationPenaltyMS
+				}
+			}
+			out.Migrations += moved
+			if moved > 0 && sp != nil {
+				trace.Event(stepCtx, "dynamic.migrate", trace.Int("threads", moved))
+			}
+			assignment = next
+			nextOS += cfg.OSIntervalMS
 			// A re-map invalidates the previous DVFS decision.
-			for i := range levels {
-				levels[i] = vTop
+			for t := range levels {
+				levels[t] = top
 			}
 			nextDVFS = now
 		}
 
 		// DVFS interval: re-solve the (V, f) assignment.
-		if s.cfg.Mode == ModeDVFS && now >= nextDVFS-1e-9 {
-			plat, err := s.snapshot(apps, assignment, elapsed, levels, lastEval, noise)
-			if err != nil {
-				return nil, err
+		if decides && now >= nextDVFS-1e-9 {
+			if err := snap.fill(c, cfg.CPU, apps, assignment, elapsed, levels, last, noise); err != nil {
+				return fail(err)
 			}
 			start := time.Now()
-			lv, err := manager.Decide(ctx, plat, s.cfg.Budget, pmRNG)
+			lv, err := manager.Decide(ctx, &snap, cfg.Budget, pmRNG)
 			d := time.Since(start)
-			decideTime += d
-			decideCount++
-			if s.cfg.DecideHist != nil {
-				s.cfg.DecideHist.Observe(d.Seconds())
+			out.DecideTime += d
+			out.DecideCount++
+			if cfg.DecideHist != nil {
+				cfg.DecideHist.Observe(d.Seconds())
 			}
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
-			if s.cfg.VTransitionUSPerStep > 0 {
+			// Voltage transitions stall the core for every ladder step.
+			if cfg.VTransitionUSPerStep > 0 {
 				for t := range levels {
 					steps := lv[t] - levels[t]
 					if steps < 0 {
 						steps = -steps
 					}
-					stallMS[t] += float64(steps) * s.cfg.VTransitionUSPerStep / 1000
+					stallMS[t] += float64(steps) * cfg.VTransitionUSPerStep / 1000
 				}
 			}
 			copy(levels, lv)
-			nextDVFS += s.cfg.DVFSIntervalMS
-		} else if s.cfg.Mode != ModeDVFS {
-			nextDVFS = now + s.cfg.DVFSIntervalMS
+			nextDVFS += cfg.DVFSIntervalMS
 		}
 
-		// Advance one monitor sample.
-		dt := s.cfg.SampleIntervalMS
-		if rem := durationMS - now; dt > rem {
-			dt = rem
-		}
-		states := c.OffStates()
-		freqs := make([]float64, nT)
+		// Operating points. The top ladder level is the nominal supply;
+		// a scenario's governor clamps every thread below it.
+		clear(states)
 		for t, app := range apps {
 			coreID := assignment[t]
-			var v, f float64
-			switch s.cfg.Mode {
-			case ModeUniFreq:
-				v, f = c.Tech.VddNominal, uniFreq
-			case ModeNUniFreq:
-				v, f = c.Tech.VddNominal, c.FmaxNominal(coreID)
-			case ModeDVFS:
-				v = c.Levels[levels[t]]
-				f = c.FmaxAt(coreID, v)
+			lvl := levels[t]
+			if scenario {
+				lvl = max(top-sc.Governor.Depth(), c.MinLevelIndex(coreID))
 			}
+			v := c.Levels[lvl]
+			f := min(c.FmaxAt(coreID, v), fcap)
 			states[coreID] = chip.CoreState{App: app, V: v, F: f, ElapsedMS: elapsed[t]}
 			freqs[t] = f
 		}
-		var res *chip.EvalResult
-		if s.cfg.TransientThermal {
-			var prev []float64
-			if lastEval != nil {
-				prev = lastEval.BlockTempC
+		if cfg.TransientThermal {
+			if err := c.EvaluateTransientInto(&eval, states, cfg.CPU, prevTemps, dt); err != nil {
+				return fail(err)
 			}
-			res, err = c.EvaluateTransient(states, s.cfg.CPU, prev, dt)
-		} else {
-			res, err = c.Evaluate(states, s.cfg.CPU)
+			copy(prevTemps, eval.BlockTempC)
+		} else if err := c.EvaluateInto(&eval, states, cfg.CPU); err != nil {
+			return fail(err)
 		}
-		if err != nil {
-			return nil, err
-		}
-		lastEval = res
+		last = &eval
 
-		ipcs := make([]float64, nT)
-		for t := range apps {
-			ipcs[t] = res.CoreIPC[assignment[t]]
-			// Voltage transitions stall the core: it burns a share of this
-			// sample without retiring instructions.
-			if stallMS[t] > 0 {
-				stall := stallMS[t]
-				if stall > dt {
-					stall = dt
-				}
+		// Progress, phase crossings, and stalls (voltage transitions,
+		// migrations): a stalled core burns a share of the sample without
+		// retiring instructions.
+		for t, app := range apps {
+			ipcs[t] = eval.CoreIPC[assignment[t]]
+			if stall := min(stallMS[t], dt); stall > 0 {
 				stallMS[t] -= stall
 				ipcs[t] *= 1 - stall/dt
 			}
-			instructions[t] += ipcs[t] * freqs[t] * dt / 1000
+			out.Instructions[t] += ipcs[t] * freqs[t] * dt / 1000
 			elapsed[t] += dt
+			if idx, _ := app.PhaseIndexAt(elapsed[t]); idx != phaseIdx[t] {
+				phaseIdx[t] = idx
+				out.PhaseSwitches++
+			}
 		}
-		coreTemps := make([]float64, c.NumCores())
-		coreVolts := make([]float64, c.NumCores())
-		for core := range coreTemps {
-			coreTemps[core] = res.CoreTempC[core]
+		for core := range coreVolts {
 			coreVolts[core] = states[core].V // 0 when powered off
 		}
-		if err := aging.Add(coreTemps, coreVolts, dt); err != nil {
-			return nil, err
+		if err := aging.Add(eval.CoreTempC, coreVolts, dt); err != nil {
+			return fail(err)
 		}
-		if s.cfg.CaptureTrace {
-			out := TracePoint{
-				TimeMS:   now,
-				PowerW:   res.TotalW,
-				MIPS:     metrics.MIPS(ipcs, freqs),
-				MaxTempC: c.Therm.MaxTemp(res.BlockTempC),
-			}
-			tracePoints = append(tracePoints, out)
+
+		mt := c.Therm.MaxTemp(eval.BlockTempC)
+		mips := metrics.MIPS(ipcs, freqs)
+		if cfg.CaptureTrace {
+			out.Trace = append(out.Trace, TracePoint{TimeMS: now, PowerW: eval.TotalW, MIPS: mips, MaxTempC: mt})
 		}
-		if now+dt > s.cfg.WarmupMS {
-			mips := metrics.MIPS(ipcs, freqs)
+		if now+dt > cfg.WarmupMS {
 			wtp, err := metrics.WeightedThroughput(ipcs, freqs, refIPS)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
-			powerAcc.Add(res.TotalW, dt)
-			dynAcc.Add(res.DynW, dt)
-			statAcc.Add(res.StaticW, dt)
+			powerAcc.Add(eval.TotalW, dt)
+			dynAcc.Add(eval.DynW, dt)
+			statAcc.Add(eval.StaticW, dt)
 			mipsAcc.Add(mips, dt)
 			wtpAcc.Add(wtp, dt)
 			freqAcc.Add(stats.Mean(freqs), dt)
-			if s.cfg.Mode == ModeDVFS {
-				deviation.Sample(res.TotalW)
+			if decides {
+				deviation.Sample(eval.TotalW)
 			}
-			if mt := c.Therm.MaxTemp(res.BlockTempC); mt > maxTemp {
-				maxTemp = mt
+			out.MaxTempC = max(out.MaxTempC, mt)
+		}
+		out.FinalMaxTempC = mt
+		// The governor observes this sample's peak and sets the clamp for
+		// the next.
+		if scenario {
+			depth, tripped := sc.Governor.Observe(mt, top)
+			if tripped && sp != nil {
+				trace.Event(stepCtx, "dynamic.emergency",
+					trace.Int("depth", depth), trace.String("maxC", fmt.Sprintf("%.1f", mt)))
+			}
+			if depth > 0 {
+				out.ThrottledMS += dt
 			}
 		}
+		sp.End()
+		out.Steps++
 		now += dt
 	}
 
-	out := &RunStats{
-		DurationMS:        durationMS,
-		AvgPowerW:         powerAcc.Mean(),
-		AvgDynW:           dynAcc.Mean(),
-		AvgStatW:          statAcc.Mean(),
-		MIPS:              mipsAcc.Mean(),
-		WeightedTP:        wtpAcc.Mean(),
-		AvgActiveFreqHz:   freqAcc.Mean(),
-		MaxTempC:          maxTemp,
-		PowerDeviationPct: deviation.MeanPct(),
-		Instructions:      instructions,
-		DecideTime:        decideTime,
-		DecideCount:       decideCount,
-	}
-	out.Trace = tracePoints
+	out.AvgPowerW = powerAcc.Mean()
+	out.AvgDynW = dynAcc.Mean()
+	out.AvgStatW = statAcc.Mean()
+	out.MIPS = mipsAcc.Mean()
+	out.WeightedTP = wtpAcc.Mean()
+	out.AvgActiveFreqHz = freqAcc.Mean()
+	out.EDSquared = metrics.EDSquared(out.AvgPowerW, out.MIPS)
+	out.PowerDeviationPct = deviation.MeanPct()
 	out.WearoutIndex = aging.Index()
 	out.WearoutMax = aging.Max()
-	out.EDSquared = metrics.EDSquared(out.AvgPowerW, out.MIPS)
+	out.WearoutTime = aging.EquivalentTime()
 	return out, nil
 }

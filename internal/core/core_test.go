@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -14,7 +16,9 @@ import (
 	"vasched/internal/sched"
 	"vasched/internal/stats"
 	"vasched/internal/thermal"
+	"vasched/internal/trace"
 	"vasched/internal/varmodel"
+	"vasched/internal/wearout"
 	"vasched/internal/workload"
 )
 
@@ -184,6 +188,91 @@ func TestRunDeterministic(t *testing.T) {
 	b := runOnce(t, ModeDVFS, sched.NameVarFAppIPC, pm.NewLinOpt(), pm.Budget{PTargetW: 55, PCoreMaxW: 6}, 8, 7)
 	if a.MIPS != b.MIPS || a.AvgPowerW != b.AvgPowerW {
 		t.Fatalf("same seed diverged: %v/%v vs %v/%v", a.MIPS, a.AvgPowerW, b.MIPS, b.AvgPowerW)
+	}
+}
+
+// TestRunRepeatable: every Run draws its random streams afresh from the
+// seed, so running one System twice on the same input repeats the result.
+func TestRunRepeatable(t *testing.T) {
+	c, cpu := testSystemParts(t)
+	apps := workload.Mix(stats.NewRNG(7), 8)
+	for _, mode := range []Mode{ModeNUniFreq, ModeDVFS} {
+		sys, err := New(Config{
+			Chip: c, CPU: cpu, Scheduler: mustPolicy(t, sched.NameRandom),
+			Mode: mode, Manager: pm.NewLinOpt(), Budget: pm.Budget{PTargetW: 50, PCoreMaxW: 6},
+			SampleIntervalMS: 2, OSIntervalMS: 10, SensorNoise: 0.05, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := sys.Run(apps, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.Run(apps, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.DecideTime, b.DecideTime = 0, 0 // wall clock
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: second run differs: MIPS %v vs %v, power %v vs %v",
+				mode, a.MIPS, b.MIPS, a.AvgPowerW, b.AvgPowerW)
+		}
+	}
+}
+
+// TestRunTracesNoSamples: only scenario runs trace their samples. A
+// fixed-clock System run under a tracer records no spans at all.
+func TestRunTracesNoSamples(t *testing.T) {
+	c, cpu := testSystemParts(t)
+	tr := trace.New(trace.DefaultCapacity)
+	sys, err := New(Config{
+		Chip: c, CPU: cpu, Scheduler: mustPolicy(t, sched.NameRandom), Mode: ModeNUniFreq,
+		TransientThermal: true, SampleIntervalMS: 2, OSIntervalMS: 10, Seed: 3,
+		Ctx: trace.WithTracer(context.Background(), tr),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(workload.Mix(stats.NewRNG(3), 8), 40); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Len(); n != 0 {
+		t.Fatalf("System run recorded %d spans: %v", n, tr.Snapshot()[0].Name)
+	}
+}
+
+// TestRunScenario drives the scenario entry point directly: the governor
+// replaces Mode's operating points, re-maps charge the migration penalty,
+// and a throttled run counts its clamped time.
+func TestRunScenario(t *testing.T) {
+	c, cpu := testSystemParts(t)
+	sys, err := New(Config{
+		Chip: c, CPU: cpu, Scheduler: mustPolicy(t, sched.NameRandom), Mode: ModeNUniFreq,
+		TransientThermal: true, SampleIntervalMS: 2, OSIntervalMS: 10, Seed: 3,
+		Ctx: trace.WithTracer(context.Background(), trace.New(trace.DefaultCapacity)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := workload.Mix(stats.NewRNG(3), 16)
+	if _, err := sys.RunScenario(Scenario{Wearout: wearout.DefaultParams()}, apps, 40); err == nil {
+		t.Fatal("scenario without a governor accepted")
+	}
+	gov, err := pm.NewThrottleGovernor(c.Therm.Config().AmbientC+1, c.Therm.Config().AmbientC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.RunScenario(Scenario{Governor: gov, MigrationPenaltyMS: 1, Wearout: wearout.DefaultParams()}, apps, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Steps != 20 || st.Migrations == 0 || gov.Emergencies() == 0 || st.ThrottledMS <= 0 {
+		t.Fatalf("steps %d, migrations %d, emergencies %d, throttled %v ms",
+			st.Steps, st.Migrations, gov.Emergencies(), st.ThrottledMS)
+	}
+	if st.DecideCount != 0 || st.PowerDeviationPct != 0 {
+		t.Fatalf("scenario consulted the power manager: %+v", st)
 	}
 }
 

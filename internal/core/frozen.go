@@ -24,6 +24,9 @@ func FrozenSnapshot(c *chip.Chip, cpu *cpusim.Model, apps []*workload.AppProfile
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{cfg: Config{Chip: c, CPU: cpu}, rng: rng}
-	return sys.snapshot(apps, assignment, make([]float64, len(apps)), nil, nil, sensors.Noise{})
+	snap := &platformSnapshot{}
+	if err := snap.fill(c, cpu, apps, assignment, make([]float64, len(apps)), nil, nil, sensors.Noise{}); err != nil {
+		return nil, err
+	}
+	return snap, nil
 }

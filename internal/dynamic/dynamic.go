@@ -1,15 +1,13 @@
-// Package dynamic is the time-stepped scenario engine: where package core
-// executes the paper's steady-state evaluation timeline, this engine
-// advances the thermal RC network tick by tick (thermal.Transient behind
-// chip.EvaluateTransientInto, zero allocations per tick), re-evaluates
-// per-core power from each thread's *current* workload phase, throttles
-// DVFS on thermal emergencies with hysteresis (pm.ThrottleGovernor), and
-// feeds a wearout.Accumulator every tick so long-horizon runs (horizon.go)
-// can degrade Vth across simulated years and re-schedule against the
-// drifted die.
+// Package dynamic is the scenario front end of the tick engine in package
+// core (System.RunScenario): the thermal RC network advances tick by tick
+// (backward Euler), per-core power follows each thread's *current*
+// workload phase, migrated threads stall, a pm.ThrottleGovernor clamps
+// DVFS on thermal emergencies with hysteresis, and a wearout accumulator
+// integrates every tick, so long-horizon runs (horizon.go) can degrade Vth
+// across simulated years and re-schedule against the drifted die.
 //
 // Everything is deterministic: results are a pure function of (Config,
-// apps, duration). The engine backs the ext-transient, ext-phase-mig and
+// apps, duration). The package backs the ext-transient, ext-phase-mig and
 // ext-wearout experiments, whose goldens pin its behaviour byte-for-byte
 // across worker counts, cluster shards, and cache states.
 package dynamic
@@ -20,13 +18,10 @@ import (
 	"fmt"
 
 	"vasched/internal/chip"
+	"vasched/internal/core"
 	"vasched/internal/cpusim"
-	"vasched/internal/metrics"
 	"vasched/internal/pm"
 	"vasched/internal/sched"
-	"vasched/internal/sensors"
-	"vasched/internal/stats"
-	"vasched/internal/trace"
 	"vasched/internal/wearout"
 	"vasched/internal/workload"
 )
@@ -146,212 +141,47 @@ func Run(cfg Config, apps []*workload.AppProfile, durationMS float64) (*Result, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := cfg.Chip
-	if len(apps) == 0 {
-		return nil, errors.New("dynamic: empty workload")
-	}
-	if len(apps) > c.NumCores() {
-		return nil, fmt.Errorf("dynamic: %d threads exceed %d cores", len(apps), c.NumCores())
-	}
-	if durationMS <= 0 {
-		return nil, fmt.Errorf("dynamic: non-positive duration %v", durationMS)
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	rng := stats.NewRNG(cfg.Seed)
-	noise := sensors.NewNoise(cfg.SensorNoise, rng.Derive(1))
-	schedRNG := rng.Derive(2)
-	profRNG := rng.Derive(4)
-
 	governor, err := pm.NewThrottleGovernor(cfg.EmergencyC, cfg.RecoverC)
 	if err != nil {
 		return nil, err
 	}
-	aging, err := wearout.NewAccumulator(cfg.Wearout, c.NumCores())
+	sys, err := core.New(core.Config{
+		Chip: cfg.Chip, CPU: cfg.CPU, Scheduler: cfg.Scheduler,
+		Mode:             core.ModeNUniFreq,
+		OSIntervalMS:     cfg.OSIntervalMS,
+		SampleIntervalMS: cfg.DtMS,
+		TransientThermal: true,
+		SensorNoise:      cfg.SensorNoise,
+		Seed:             cfg.Seed,
+		Ctx:              cfg.Ctx,
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	nT := len(apps)
-	if cfg.StartOffsetsMS != nil && len(cfg.StartOffsetsMS) != nT {
-		return nil, fmt.Errorf("dynamic: %d start offsets for %d threads", len(cfg.StartOffsetsMS), nT)
+	st, err := sys.RunScenario(core.Scenario{
+		Governor:           governor,
+		MigrationPenaltyMS: cfg.MigrationPenaltyMS,
+		StartOffsetsMS:     cfg.StartOffsetsMS,
+		Wearout:            cfg.Wearout,
+	}, apps, durationMS)
+	if err != nil {
+		return nil, err
 	}
-	coreInfos := sensors.CoreInfos(c)
-	elapsed := make([]float64, nT)
-	if cfg.StartOffsetsMS != nil {
-		copy(elapsed, cfg.StartOffsetsMS)
-	}
-	instructions := make([]float64, nT)
-	stallMS := make([]float64, nT)
-	phaseIdx := make([]int, nT)
-	refIPS := make([]float64, nT)
-	for i, a := range apps {
-		ipc, err := cfg.CPU.SteadyIPC(a, c.Tech.FNominalHz)
-		if err != nil {
-			return nil, err
-		}
-		refIPS[i] = ipc * c.Tech.FNominalHz
-		phaseIdx[i], _ = a.PhaseIndexAt(elapsed[i])
-	}
-
-	// Per-tick reusable state: the engine allocates nothing inside the
-	// stepping loop. prevTemps chains the transient thermal state; eval's
-	// slices are recycled by EvaluateTransientInto.
-	states := c.OffStates()
-	prevTemps := c.Therm.AmbientTemps(nil)
-	var eval chip.EvalResult
-	ipcs := make([]float64, nT)
-	freqs := make([]float64, nT)
-	coreVolts := make([]float64, c.NumCores())
-	var assignment sched.Assignment
-
-	var powerAcc, mipsAcc, wtpAcc metrics.Accumulator
-	res := &Result{DurationMS: durationMS}
-	top := len(c.Levels) - 1
-	depth := 0
-
-	now := 0.0
-	nextOS := 0.0
-	for now < durationMS-1e-9 {
-		dt := cfg.DtMS
-		if rem := durationMS - now; dt > rem {
-			dt = rem
-		}
-		stepCtx, sp := trace.Start(ctx, "dynamic.step",
-			trace.Int("tick", res.Steps), trace.Int("depth", depth))
-
-		// OS interval: re-profile and re-map. Temperature-aware policies
-		// see the previous tick's transient temperatures — on a cold chip,
-		// ambient everywhere.
-		if now >= nextOS-1e-9 {
-			for i := range coreInfos {
-				coreInfos[i].TempC = c.Therm.CoreMeanTemp(prevTemps, i)
-			}
-			threadInfos, err := sensors.ProfileThreads(c, cfg.CPU, apps, elapsed, noise, profRNG)
-			if err != nil {
-				sp.End()
-				return nil, err
-			}
-			next, err := cfg.Scheduler.Assign(coreInfos, threadInfos, schedRNG)
-			if err != nil {
-				sp.End()
-				return nil, err
-			}
-			if err := next.Validate(c.NumCores()); err != nil {
-				sp.End()
-				return nil, err
-			}
-			if assignment != nil {
-				moved := 0
-				for t := range next {
-					if next[t] != assignment[t] {
-						moved++
-						stallMS[t] += cfg.MigrationPenaltyMS
-					}
-				}
-				if moved > 0 {
-					res.Migrations += moved
-					trace.Event(stepCtx, "dynamic.migrate", trace.Int("threads", moved))
-				}
-			}
-			assignment = next
-			nextOS += cfg.OSIntervalMS
-		}
-
-		// Operating points: every thread runs at the top ladder level minus
-		// the chip-wide emergency clamp, floored at its core's lowest
-		// feasible level.
-		for i := range states {
-			states[i] = chip.CoreState{}
-		}
-		for t, app := range apps {
-			coreID := assignment[t]
-			lvl := top - depth
-			if min := c.MinLevelIndex(coreID); lvl < min {
-				lvl = min
-			}
-			v := c.Levels[lvl]
-			f := c.FmaxAt(coreID, v)
-			states[coreID] = chip.CoreState{App: app, V: v, F: f, ElapsedMS: elapsed[t]}
-			freqs[t] = f
-		}
-
-		if err := c.EvaluateTransientInto(&eval, states, cfg.CPU, prevTemps, dt); err != nil {
-			sp.End()
-			return nil, err
-		}
-		copy(prevTemps, eval.BlockTempC)
-
-		// Progress, stalls (migration and any residual), phase crossings.
-		for t, app := range apps {
-			ipcs[t] = eval.CoreIPC[assignment[t]]
-			if stallMS[t] > 0 {
-				stall := stallMS[t]
-				if stall > dt {
-					stall = dt
-				}
-				stallMS[t] -= stall
-				ipcs[t] *= 1 - stall/dt
-			}
-			instructions[t] += ipcs[t] * freqs[t] * dt / 1000
-			elapsed[t] += dt
-			if idx, _ := app.PhaseIndexAt(elapsed[t]); idx != phaseIdx[t] {
-				phaseIdx[t] = idx
-				res.PhaseSwitches++
-			}
-		}
-
-		// Wearout integrates the transient temperatures and live voltages.
-		for core := range coreVolts {
-			coreVolts[core] = states[core].V // 0 when powered off
-		}
-		if err := aging.Add(eval.CoreTempC, coreVolts, dt); err != nil {
-			sp.End()
-			return nil, err
-		}
-
-		// Thermal emergency governor: observe this tick's peak, adjust the
-		// clamp for the next.
-		mt := c.Therm.MaxTemp(eval.BlockTempC)
-		if mt > res.MaxTempC {
-			res.MaxTempC = mt
-		}
-		res.FinalMaxTempC = mt
-		newDepth, tripped := governor.Observe(mt, top)
-		if tripped {
-			trace.Event(stepCtx, "dynamic.emergency",
-				trace.Int("depth", newDepth), trace.String("maxC", fmt.Sprintf("%.1f", mt)))
-		}
-		depth = newDepth
-		if depth > 0 {
-			res.ThrottledMS += dt
-		}
-
-		powerAcc.Add(eval.TotalW, dt)
-		mips := metrics.MIPS(ipcs, freqs)
-		wtp, err := metrics.WeightedThroughput(ipcs, freqs, refIPS)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		mipsAcc.Add(mips, dt)
-		wtpAcc.Add(wtp, dt)
-
-		sp.End()
-		res.Steps++
-		now += dt
-	}
-
-	res.AvgPowerW = powerAcc.Mean()
-	res.MIPS = mipsAcc.Mean()
-	res.WeightedTP = wtpAcc.Mean()
-	res.Emergencies = governor.Emergencies()
-	res.Instructions = instructions
-	res.WearoutIndex = aging.Index()
-	res.WearoutMax = aging.Max()
-	res.EquivalentTime = aging.EquivalentTime()
-	return res, nil
+	return &Result{
+		DurationMS:     durationMS,
+		Steps:          st.Steps,
+		AvgPowerW:      st.AvgPowerW,
+		MIPS:           st.MIPS,
+		WeightedTP:     st.WeightedTP,
+		MaxTempC:       st.MaxTempC,
+		FinalMaxTempC:  st.FinalMaxTempC,
+		Emergencies:    governor.Emergencies(),
+		ThrottledMS:    st.ThrottledMS,
+		Migrations:     st.Migrations,
+		PhaseSwitches:  st.PhaseSwitches,
+		Instructions:   st.Instructions,
+		WearoutIndex:   st.WearoutIndex,
+		WearoutMax:     st.WearoutMax,
+		EquivalentTime: st.WearoutTime,
+	}, nil
 }

@@ -1,7 +1,9 @@
 package dynamic
 
 import (
+	"context"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"vasched/internal/sched"
 	"vasched/internal/stats"
 	"vasched/internal/thermal"
+	"vasched/internal/trace"
 	"vasched/internal/varmodel"
 	"vasched/internal/workload"
 )
@@ -207,6 +210,64 @@ func TestMigrationPenaltyCostsThroughput(t *testing.T) {
 	}
 }
 
+// TestRunTraceShape pins the scenario trace: one dynamic.step span per
+// tick carrying its tick index and the clamp depth it ran under, with
+// migrate and emergency events nested under the tick that caused them.
+func TestRunTraceShape(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.Scheduler = mustPolicy(t, sched.NameRandom)
+	apps := workload.Mix(stats.NewRNG(3), 16)
+	calm, err := Run(cfg, apps, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.EmergencyC = calm.MaxTempC - 4
+	cfg.RecoverC = cfg.EmergencyC - 2
+	tr := trace.New(trace.DefaultCapacity)
+	cfg.Ctx = trace.WithTracer(context.Background(), tr)
+	res, err := Run(cfg, apps, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := map[uint64]int{} // step span ID -> tick
+	var events []trace.Span
+	for _, sp := range tr.Snapshot() {
+		switch sp.Name {
+		case "dynamic.step":
+			tick := len(ticks)
+			if len(sp.Attrs) != 2 || sp.Attrs[0] != trace.Int("tick", tick) || sp.Attrs[1].Key != "depth" {
+				t.Fatalf("tick %d attributes %v", tick, sp.Attrs)
+			}
+			ticks[sp.ID] = tick
+		case "dynamic.migrate", "dynamic.emergency":
+			events = append(events, sp)
+		default:
+			t.Fatalf("unexpected span %q", sp.Name)
+		}
+	}
+	if len(ticks) != res.Steps {
+		t.Fatalf("%d step spans for %d ticks", len(ticks), res.Steps)
+	}
+	moved, trips := 0, 0
+	for _, ev := range events {
+		if _, ok := ticks[ev.Parent]; !ok {
+			t.Fatalf("%s event outside a step span", ev.Name)
+		}
+		if ev.Name == "dynamic.emergency" {
+			trips++
+			continue
+		}
+		n, err := strconv.Atoi(ev.Attrs[0].Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += n
+	}
+	if moved != res.Migrations || trips != res.Emergencies || trips == 0 || moved == 0 {
+		t.Fatalf("events: %d moved / %d trips, result %d / %d", moved, trips, res.Migrations, res.Emergencies)
+	}
+}
+
 func TestStartOffsetsShiftPhases(t *testing.T) {
 	cfg := baseConfig(t)
 	// swim's phase cycle is 420 ms; starting 5 ms before the first boundary
@@ -274,8 +335,8 @@ func TestHorizonEpochsAndAgingDirection(t *testing.T) {
 		}
 	}
 	// The original chip must be untouched by the horizon's map cloning.
-	if got := minFmax(c); got != fresh.MinFmaxHz {
-		t.Fatalf("base die mutated: minFmax %v vs %v", got, fresh.MinFmaxHz)
+	if got := c.MinFmaxNominal(); got != fresh.MinFmaxHz {
+		t.Fatalf("base die mutated: MinFmaxNominal %v vs %v", got, fresh.MinFmaxHz)
 	}
 }
 
@@ -334,6 +395,30 @@ func TestAgeMaps(t *testing.T) {
 	dVth[1] = -0.01
 	if _, err := AgeMaps(c.Maps, fp, dVth); err == nil {
 		t.Fatal("negative shift accepted")
+	}
+}
+
+// TestRunAllocatesNothingPerTick pins the zero-allocation tick loop: a
+// 150 ms run may allocate no more than a 50 ms run of the same scenario.
+// The OS interval outlasts both runs, so each re-maps exactly once and the
+// difference is what the 100 extra ticks cost.
+func TestRunAllocatesNothingPerTick(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	cfg := baseConfig(t)
+	cfg.DtMS, cfg.OSIntervalMS = 1, 1000
+	apps := workload.Mix(stats.NewRNG(3), 8)
+	allocs := func(durMS float64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(cfg, apps, durMS); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(50), allocs(150)
+	if perTick := (long - short) / 100; perTick != 0 {
+		t.Fatalf("%v allocations per tick (%v for 50 ms, %v for 150 ms)", perTick, short, long)
 	}
 }
 

@@ -93,7 +93,7 @@ func RunHorizon(cfg HorizonConfig, apps []*workload.AppProfile, durationMS float
 	}
 	out := &HorizonResult{Epochs: []Epoch{{
 		Years:     0,
-		MinFmaxHz: minFmax(base),
+		MinFmaxHz: base.MinFmaxNominal(),
 		Result:    fresh,
 	}}}
 
@@ -127,7 +127,7 @@ func RunHorizon(cfg HorizonConfig, apps []*workload.AppProfile, durationMS float
 		out.Epochs = append(out.Epochs, Epoch{
 			Years:     years,
 			DVthMaxV:  maxShift,
-			MinFmaxHz: minFmax(aged),
+			MinFmaxHz: aged.MinFmaxNominal(),
 			Result:    res,
 		})
 	}
@@ -164,15 +164,4 @@ func AgeMaps(maps *varmodel.DieMaps, fp *floorplan.Floorplan, dVth []float64) (*
 		field.Data[cell] += dVth[core]
 	}
 	return &clone, nil
-}
-
-// minFmax returns the slowest core's rated nominal-supply frequency.
-func minFmax(c *chip.Chip) float64 {
-	min := c.FmaxNominal(0)
-	for core := 1; core < c.NumCores(); core++ {
-		if f := c.FmaxNominal(core); f < min {
-			min = f
-		}
-	}
-	return min
 }

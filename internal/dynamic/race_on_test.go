@@ -1,0 +1,8 @@
+//go:build race
+
+package dynamic
+
+// raceEnabled reports whether this test binary was built with the race
+// detector. The zero-allocation tests skip under it: sync.Pool drops items
+// at random there, so the chip's pooled evaluation scratch reallocates.
+const raceEnabled = true

@@ -433,7 +433,9 @@ func (p *Platform) RunDynamic(cfg DynamicConfig, appNames []string, durationMS f
 }
 
 // Run executes the named applications (one thread per core at most) for
-// durationMS of simulated time.
+// durationMS of simulated time. Every run draws its random streams afresh
+// from the platform's seed, so repeated runs of one System on the same
+// applications and duration return the same statistics.
 func (s *System) Run(appNames []string, durationMS float64) (*Stats, error) {
 	apps := make([]*workload.AppProfile, len(appNames))
 	for i, name := range appNames {

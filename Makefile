@@ -71,7 +71,7 @@ fuzzseed:
 # cover prints per-package statement coverage and fails if any of the
 # gated packages (the concurrency- and protocol-heavy ones) drops below
 # 80%. Numbers are recorded in EXPERIMENTS.md ("Coverage gate").
-COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/miniyaml vasched/internal/wearout vasched/cmd/vaschedload
+COVER_GATED = vasched/internal/cluster vasched/internal/pm vasched/internal/farm vasched/internal/trace vasched/internal/jobstore vasched/internal/tenant vasched/internal/diecache vasched/internal/adapt vasched/internal/metrics vasched/internal/loadsnap vasched/internal/wearout vasched/cmd/vaschedload
 
 # The tick engine (internal/core) and its scenario front end
 # (internal/dynamic) carry a higher bar: the engine's loop integrates four

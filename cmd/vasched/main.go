@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer) error {
 		migMS   = fs.Float64("mig-penalty", 0, "with -dynamic, per-migration thread stall in milliseconds")
 
 		traceOut  = fs.String("trace", "", "write the run's spans as a Chrome trace_event JSON file (experiments only; open in chrome://tracing or Perfetto)")
-		clusterN  = fs.Int("cluster", 0, "spin up N in-process shard workers and route kernel-based die loops through them (output is identical to a local run)")
+		clusterN  = fs.Int("cluster", 0, "spin up N in-process shard workers and route every die loop through them (output is identical to a local run)")
 		faultRate = fs.Float64("fault-rate", 0, "with -cluster, deterministically inject dispatch faults at this rate in [0,1]; retries recover and outputs are unchanged")
 		faultSeed = fs.Int64("fault-seed", 1, "seed for the -fault-rate fault plan (same seed, same faults)")
 
@@ -220,7 +220,10 @@ func startLocalCluster(n, par int, faultRate float64, faultSeed int64) (*cluster
 			stop()
 			return nil, nil, fmt.Errorf("cluster worker %d: %w", i, err)
 		}
-		srv := &http.Server{Handler: cluster.Handler(experiments.NewExecutor(par), metrics.NewRegistry())}
+		srv := &http.Server{
+			Handler:           cluster.Handler(experiments.NewExecutor(par), metrics.NewRegistry()),
+			ReadHeaderTimeout: 10 * time.Second,
+		}
 		go srv.Serve(ln)
 		srvs = append(srvs, srv)
 		urls = append(urls, "http://"+ln.Addr().String())

@@ -30,7 +30,7 @@
 // slots but batch work never starves.
 //
 // The two modes form a sharded cluster: coordinators split every
-// kernel-based die loop into shards and dispatch them to the workers
+// experiment die loop (die batches and timeline sweeps) into shards and dispatch them to the workers
 // named by -workers, retrying, hedging, and finally degrading back to
 // local execution when workers fail. Results are byte-identical at any
 // worker count, including zero (see internal/cluster and DESIGN.md §8).
@@ -82,6 +82,11 @@ import (
 	"vasched/internal/metrics"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or trickling connections cannot pin server
+// goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
@@ -94,7 +99,7 @@ func main() {
 		laneCap = flag.Int("lane-cap", 64, "queued jobs allowed per priority lane")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown window for in-flight jobs before they are requeued")
 		worker  = flag.Bool("worker", false, "run as a cluster worker: serve shard requests instead of the job API")
-		workers = flag.String("workers", "", "comma-separated worker base URLs; shards kernel-based die loops across them")
+		workers = flag.String("workers", "", "comma-separated worker base URLs; shards experiment die loops across them")
 		debug   = flag.String("debug-addr", "", "serve /debug/pprof and /debug/trace (Chrome trace JSON) on this extra address; empty disables")
 		dieDir  = flag.String("die-cache-dir", "", "directory for the on-disk die blob store; a restarted service (or worker) re-characterises dies from checksummed blobs instead of re-sampling")
 	)
@@ -114,7 +119,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "vaschedd:", err)
 			os.Exit(1)
 		}
-		httpSrv := &http.Server{Handler: handler}
+		httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 		errCh := make(chan error, 1)
 		go func() { errCh <- httpSrv.Serve(ln) }()
 		// Log the bound (not requested) address so -addr :0 is usable by
@@ -160,7 +165,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vaschedd: clustering across %d workers\n", srv.clust.NumWorkers())
 	}
 	if *debug != "" {
-		dbgSrv := &http.Server{Addr: *debug, Handler: srv.debugMux()}
+		dbgSrv := &http.Server{Addr: *debug, Handler: srv.debugMux(), ReadHeaderTimeout: readHeaderTimeout}
 		defer dbgSrv.Close()
 		go func() {
 			if err := dbgSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -175,7 +180,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vaschedd:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: srv.routes()}
+	httpSrv := &http.Server{Handler: srv.routes(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "vaschedd: listening on %s (epoch %d, max-jobs %d, parallel %d)\n",

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -25,6 +26,10 @@ import (
 
 // defaultListLimit bounds GET /v1/jobs pages when ?limit= is absent.
 const defaultListLimit = 100
+
+// maxSubmitBytes bounds a job-submit body (a real one is well under a
+// kilobyte).
+const maxSubmitBytes = 1 << 20
 
 // defaultTenant is the tenant charged when a request carries no
 // X-Tenant header.
@@ -107,7 +112,7 @@ type server struct {
 	// tracer ring-buffers spans from every job (farm fan-out, cluster
 	// dispatch, pm decisions); /debug/trace serves them as Chrome JSON.
 	tracer *trace.Tracer
-	// clust, when non-nil, shards every kernel-based die loop across the
+	// clust, when non-nil, shards every experiment die loop across the
 	// configured worker processes (-workers). Its counters land in reg, so
 	// /metrics shows coordinator and cluster health side by side.
 	clust *cluster.Client
@@ -336,8 +341,25 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "coordinator superseded by a newer epoch")
 		return
 	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// One object per body: anything after it but whitespace is an
+		// error, not a second request silently dropped.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("content after the JSON object")
+		}
+	}
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxSubmitBytes)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return
 	}

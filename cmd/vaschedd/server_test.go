@@ -177,6 +177,11 @@ func TestSubmitValidation(t *testing.T) {
 		`{"experiment":"fig4","scale":"huge"}`,
 		`{"experiment":"fig4","lane":"express"}`,
 		`not json`,
+		// Strict decoding: a misspelt or unsupported field is an error,
+		// not a silently ignored option.
+		`{"experiment":"fig4","scael":"default"}`,
+		`{"experiment":"ext-adapt","adaptive":{"metric":"power-ratio","relci":0.05}}`,
+		`{"experiment":"table5"} {"experiment":"fig4"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -186,6 +191,30 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status = %d", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitBodyLimit sends a job whose body exceeds maxSubmitBytes:
+// the server must stop reading and answer 413, and admit nothing.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t)
+	pad := strings.Repeat(" ", maxSubmitBytes)
+	body := `{"experiment":"fig4",` + pad + `"scale":"quick"}`
+	_, resp := postJobAs(t, ts, "", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status = %d, want 413", resp.StatusCode)
+	}
+	list, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer list.Body.Close()
+	var jobs []jobView
+	if err := json.NewDecoder(list.Body).Decode(&jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Fatalf("oversized body admitted %d jobs", len(jobs))
 	}
 }
 

@@ -1,19 +1,22 @@
 package deploy
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
-
-	"vasched/internal/miniyaml"
 )
 
-// loadManifests parses every deploy/k8s/*.yaml into (file, doc) pairs.
+// loadManifests decodes every deploy/k8s/*.json — each a v1 List, the
+// form `kubectl apply -f` takes — into (file, items) pairs.
 func loadManifests(t *testing.T) map[string][]any {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join("k8s", "*.yaml"))
+	paths, err := filepath.Glob(filepath.Join("k8s", "*.json"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no manifests under deploy/k8s (err=%v)", err)
 	}
@@ -23,16 +26,73 @@ func loadManifests(t *testing.T) map[string][]any {
 		if err != nil {
 			t.Fatal(err)
 		}
-		docs, err := miniyaml.Parse(string(raw))
-		if err != nil {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.UseNumber()
+		var list any
+		if err := dec.Decode(&list); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
+		if _, err := dec.Token(); err != io.EOF {
+			t.Fatalf("%s: content after the manifest", path)
+		}
+		if api, _ := getString(list, "apiVersion"); api != "v1" {
+			t.Fatalf("%s: apiVersion %q, want v1 (a List)", path, api)
+		}
+		if kind, _ := getString(list, "kind"); kind != "List" {
+			t.Fatalf("%s: kind %q, want List", path, kind)
+		}
+		items, _ := get(list, "items")
+		docs, _ := items.([]any)
 		if len(docs) == 0 {
-			t.Fatalf("%s: no documents", path)
+			t.Fatalf("%s: no items", path)
 		}
 		out[path] = docs
 	}
 	return out
+}
+
+// get walks a decoded manifest by object keys and integer list indexes
+// (path elements like "spec", "containers", "0", "image"), returning
+// nil, false when any step is missing or mistyped.
+func get(doc any, path ...string) (any, bool) {
+	cur := doc
+	for _, step := range path {
+		switch node := cur.(type) {
+		case map[string]any:
+			v, ok := node[step]
+			if !ok {
+				return nil, false
+			}
+			cur = v
+		case []any:
+			i, err := strconv.Atoi(step)
+			if err != nil || i < 0 || i >= len(node) {
+				return nil, false
+			}
+			cur = node[i]
+		default:
+			return nil, false
+		}
+	}
+	return cur, true
+}
+
+// getString is get for string leaves.
+func getString(doc any, path ...string) (string, bool) {
+	v, _ := get(doc, path...)
+	s, ok := v.(string)
+	return s, ok
+}
+
+// getInt is get for integer leaves.
+func getInt(doc any, path ...string) (int64, bool) {
+	v, _ := get(doc, path...)
+	n, ok := v.(json.Number)
+	if !ok {
+		return 0, false
+	}
+	i, err := n.Int64()
+	return i, err == nil
 }
 
 // find returns the first document with the given kind and name.
@@ -40,8 +100,8 @@ func find(t *testing.T, manifests map[string][]any, kind, name string) any {
 	t.Helper()
 	for _, docs := range manifests {
 		for _, doc := range docs {
-			k, _ := miniyaml.GetString(doc, "kind")
-			n, _ := miniyaml.GetString(doc, "metadata", "name")
+			k, _ := getString(doc, "kind")
+			n, _ := getString(doc, "metadata", "name")
 			if k == kind && n == name {
 				return doc
 			}
@@ -68,22 +128,22 @@ func labelsMatch(t *testing.T, what string, selector, labels any) {
 }
 
 // TestManifestsWellFormed is the kubectl-dry-run-shaped gate: every
-// document parses in the supported YAML subset and carries the fields
-// the API server would demand first.
+// object decodes and carries the fields the API server would demand
+// first.
 func TestManifestsWellFormed(t *testing.T) {
 	seen := map[string]bool{}
 	for path, docs := range loadManifests(t) {
 		for i, doc := range docs {
 			where := fmt.Sprintf("%s doc %d", path, i)
-			api, ok := miniyaml.GetString(doc, "apiVersion")
+			api, ok := getString(doc, "apiVersion")
 			if !ok || api == "" {
 				t.Errorf("%s: missing apiVersion", where)
 			}
-			kind, ok := miniyaml.GetString(doc, "kind")
+			kind, ok := getString(doc, "kind")
 			if !ok || kind == "" {
 				t.Errorf("%s: missing kind", where)
 			}
-			name, ok := miniyaml.GetString(doc, "metadata", "name")
+			name, ok := getString(doc, "metadata", "name")
 			if !ok || name == "" {
 				t.Errorf("%s: missing metadata.name", where)
 			}
@@ -92,7 +152,7 @@ func TestManifestsWellFormed(t *testing.T) {
 			} else {
 				seen[key] = true
 			}
-			if app, _ := miniyaml.GetString(doc, "metadata", "labels", "app"); app != "vaschedd" {
+			if app, _ := getString(doc, "metadata", "labels", "app"); app != "vaschedd" {
 				t.Errorf("%s: metadata.labels.app = %q, want vaschedd", where, app)
 			}
 		}
@@ -111,31 +171,31 @@ func TestCoordinatorDeployment(t *testing.T) {
 	manifests := loadManifests(t)
 	dep := find(t, manifests, "Deployment", "vaschedd-coordinator")
 
-	sel, _ := miniyaml.Get(dep, "spec", "selector", "matchLabels")
-	labels, _ := miniyaml.Get(dep, "spec", "template", "metadata", "labels")
+	sel, _ := get(dep, "spec", "selector", "matchLabels")
+	labels, _ := get(dep, "spec", "template", "metadata", "labels")
 	labelsMatch(t, "coordinator deployment", sel, labels)
 
 	// One replica over a Recreate strategy: the WAL PVC is RWO, and
 	// epoch fencing (not rolling overlap) is the handover mechanism.
-	if n, _ := miniyaml.GetInt(dep, "spec", "replicas"); n != 1 {
+	if n, _ := getInt(dep, "spec", "replicas"); n != 1 {
 		t.Errorf("coordinator replicas = %d, want 1 (single WAL owner)", n)
 	}
-	if s, _ := miniyaml.GetString(dep, "spec", "strategy", "type"); s != "Recreate" {
+	if s, _ := getString(dep, "spec", "strategy", "type"); s != "Recreate" {
 		t.Errorf("coordinator strategy = %q, want Recreate", s)
 	}
 
-	c, ok := miniyaml.Get(dep, "spec", "template", "spec", "containers", "0")
+	c, ok := get(dep, "spec", "template", "spec", "containers", "0")
 	if !ok {
 		t.Fatal("coordinator has no containers")
 	}
-	if img, _ := miniyaml.GetString(c, "image"); !strings.Contains(img, "vaschedd") {
+	if img, _ := getString(c, "image"); !strings.Contains(img, "vaschedd") {
 		t.Errorf("container image = %q", img)
 	}
-	if path, _ := miniyaml.GetString(c, "readinessProbe", "httpGet", "path"); path != "/healthz" {
+	if path, _ := getString(c, "readinessProbe", "httpGet", "path"); path != "/healthz" {
 		t.Errorf("readiness path = %q, want /healthz", path)
 	}
-	port, _ := miniyaml.GetInt(c, "readinessProbe", "httpGet", "port")
-	cport, _ := miniyaml.GetInt(c, "ports", "0", "containerPort")
+	port, _ := getInt(c, "readinessProbe", "httpGet", "port")
+	cport, _ := getInt(c, "ports", "0", "containerPort")
 	if port != cport {
 		t.Errorf("readiness port %d != containerPort %d", port, cport)
 	}
@@ -148,10 +208,10 @@ func TestCoordinatorDeployment(t *testing.T) {
 		t.Fatal("coordinator args carry no -data-dir (WAL disabled?)")
 	}
 	mountName := ""
-	if mounts, ok := miniyaml.Get(c, "volumeMounts"); ok {
+	if mounts, ok := get(c, "volumeMounts"); ok {
 		for _, m := range mounts.([]any) {
-			if mp, _ := miniyaml.GetString(m, "mountPath"); mp == dataDir {
-				mountName, _ = miniyaml.GetString(m, "name")
+			if mp, _ := getString(m, "mountPath"); mp == dataDir {
+				mountName, _ = getString(m, "name")
 			}
 		}
 	}
@@ -159,10 +219,10 @@ func TestCoordinatorDeployment(t *testing.T) {
 		t.Fatalf("no volumeMount covers -data-dir %s", dataDir)
 	}
 	claim := ""
-	if vols, ok := miniyaml.Get(dep, "spec", "template", "spec", "volumes"); ok {
+	if vols, ok := get(dep, "spec", "template", "spec", "volumes"); ok {
 		for _, v := range vols.([]any) {
-			if n, _ := miniyaml.GetString(v, "name"); n == mountName {
-				claim, _ = miniyaml.GetString(v, "persistentVolumeClaim", "claimName")
+			if n, _ := getString(v, "name"); n == mountName {
+				claim, _ = getString(v, "persistentVolumeClaim", "claimName")
 			}
 		}
 	}
@@ -170,7 +230,7 @@ func TestCoordinatorDeployment(t *testing.T) {
 		t.Fatalf("volume %q is not PVC-backed", mountName)
 	}
 	pvc := find(t, manifests, "PersistentVolumeClaim", claim)
-	if mode, _ := miniyaml.GetString(pvc, "spec", "accessModes", "0"); mode != "ReadWriteOnce" {
+	if mode, _ := getString(pvc, "spec", "accessModes", "0"); mode != "ReadWriteOnce" {
 		t.Errorf("PVC access mode = %q", mode)
 	}
 
@@ -178,16 +238,16 @@ func TestCoordinatorDeployment(t *testing.T) {
 	// name and port, or the fleet silently idles.
 	workersURL := argValue(args, "-workers")
 	svc := find(t, manifests, "Service", "vaschedd-workers")
-	svcPort, _ := miniyaml.GetInt(svc, "spec", "ports", "0", "port")
+	svcPort, _ := getInt(svc, "spec", "ports", "0", "port")
 	if want := fmt.Sprintf("http://vaschedd-workers:%d", svcPort); workersURL != want {
 		t.Errorf("-workers = %q, want %q", workersURL, want)
 	}
 
 	// The client Service routes to this deployment.
 	api := find(t, manifests, "Service", "vaschedd")
-	apiSel, _ := miniyaml.Get(api, "spec", "selector")
+	apiSel, _ := get(api, "spec", "selector")
 	labelsMatch(t, "api service", apiSel, labels)
-	if p, _ := miniyaml.GetInt(api, "spec", "ports", "0", "targetPort"); p != cport {
+	if p, _ := getInt(api, "spec", "ports", "0", "targetPort"); p != cport {
 		t.Errorf("api service targetPort %d != containerPort %d", p, cport)
 	}
 }
@@ -196,11 +256,11 @@ func TestWorkerFleet(t *testing.T) {
 	manifests := loadManifests(t)
 	dep := find(t, manifests, "Deployment", "vaschedd-worker")
 
-	sel, _ := miniyaml.Get(dep, "spec", "selector", "matchLabels")
-	labels, _ := miniyaml.Get(dep, "spec", "template", "metadata", "labels")
+	sel, _ := get(dep, "spec", "selector", "matchLabels")
+	labels, _ := get(dep, "spec", "template", "metadata", "labels")
 	labelsMatch(t, "worker deployment", sel, labels)
 
-	c, ok := miniyaml.Get(dep, "spec", "template", "spec", "containers", "0")
+	c, ok := get(dep, "spec", "template", "spec", "containers", "0")
 	if !ok {
 		t.Fatal("worker has no containers")
 	}
@@ -208,39 +268,39 @@ func TestWorkerFleet(t *testing.T) {
 	if len(args) == 0 || args[0] != "-worker" {
 		t.Errorf("worker args = %v, want -worker mode first", args)
 	}
-	if path, _ := miniyaml.GetString(c, "readinessProbe", "httpGet", "path"); path != "/healthz" {
+	if path, _ := getString(c, "readinessProbe", "httpGet", "path"); path != "/healthz" {
 		t.Errorf("worker readiness path = %q", path)
 	}
-	if _, ok := miniyaml.GetString(c, "resources", "requests", "cpu"); !ok {
+	if _, ok := getString(c, "resources", "requests", "cpu"); !ok {
 		t.Error("worker has no CPU request (the HPA's utilisation target needs one)")
 	}
 
 	svc := find(t, manifests, "Service", "vaschedd-workers")
-	svcSel, _ := miniyaml.Get(svc, "spec", "selector")
+	svcSel, _ := get(svc, "spec", "selector")
 	labelsMatch(t, "worker service", svcSel, labels)
-	port, _ := miniyaml.GetInt(svc, "spec", "ports", "0", "targetPort")
-	cport, _ := miniyaml.GetInt(c, "ports", "0", "containerPort")
+	port, _ := getInt(svc, "spec", "ports", "0", "targetPort")
+	cport, _ := getInt(c, "ports", "0", "containerPort")
 	if port != cport {
 		t.Errorf("worker service targetPort %d != containerPort %d", port, cport)
 	}
 
 	hpa := find(t, manifests, "HorizontalPodAutoscaler", "vaschedd-worker")
-	if kind, _ := miniyaml.GetString(hpa, "spec", "scaleTargetRef", "kind"); kind != "Deployment" {
+	if kind, _ := getString(hpa, "spec", "scaleTargetRef", "kind"); kind != "Deployment" {
 		t.Errorf("HPA targets kind %q", kind)
 	}
-	if name, _ := miniyaml.GetString(hpa, "spec", "scaleTargetRef", "name"); name != "vaschedd-worker" {
+	if name, _ := getString(hpa, "spec", "scaleTargetRef", "name"); name != "vaschedd-worker" {
 		t.Errorf("HPA targets %q, want vaschedd-worker", name)
 	}
-	minR, _ := miniyaml.GetInt(hpa, "spec", "minReplicas")
-	maxR, _ := miniyaml.GetInt(hpa, "spec", "maxReplicas")
-	repl, _ := miniyaml.GetInt(dep, "spec", "replicas")
+	minR, _ := getInt(hpa, "spec", "minReplicas")
+	maxR, _ := getInt(hpa, "spec", "maxReplicas")
+	repl, _ := getInt(dep, "spec", "replicas")
 	if minR < 1 || minR > maxR {
 		t.Errorf("HPA range [%d, %d] is not sane", minR, maxR)
 	}
 	if repl < minR || repl > maxR {
 		t.Errorf("worker replicas %d outside HPA range [%d, %d]", repl, minR, maxR)
 	}
-	if mt, _ := miniyaml.GetString(hpa, "spec", "metrics", "0", "resource", "name"); mt != "cpu" {
+	if mt, _ := getString(hpa, "spec", "metrics", "0", "resource", "name"); mt != "cpu" {
 		t.Errorf("HPA metric = %q, want cpu", mt)
 	}
 }
@@ -270,7 +330,7 @@ func TestDockerfile(t *testing.T) {
 // argStrings flattens a container's args to strings.
 func argStrings(t *testing.T, container any) []string {
 	t.Helper()
-	raw, ok := miniyaml.Get(container, "args")
+	raw, ok := get(container, "args")
 	if !ok {
 		return nil
 	}

@@ -53,13 +53,15 @@ func WithContext(ctx context.Context) RunOption {
 // WithDecideHist collects the latency of every power-manager Decide call
 // the experiment makes into h (one Observe per call, in seconds). The
 // histogram is safe to share across concurrent experiments; passing it
-// does not change any experiment output.
+// does not change any experiment output. With WithCluster, Decide calls
+// that run on remote workers (the DVFS sweeps' kernels) are not observed.
 func WithDecideHist(h *metrics.LatencyHist) RunOption {
 	return func(c *runConfig) { c.decideHist = h }
 }
 
-// WithCluster routes the experiment's kernel-based die loops through a
-// sharded worker cluster (internal/cluster's Client is the production
+// WithCluster routes the experiment's die loops (every die × trial grid:
+// the die-batch figures, the fig7–13 and sec74 sweeps, and the extension
+// grids) through a sharded worker cluster (internal/cluster's Client is the production
 // ShardRunner; cmd/vaschedd -workers wires it up). Clustered runs are
 // byte-identical to local ones, and a run degrades back to local
 // execution when the whole cluster is unavailable, so attaching a

@@ -46,6 +46,15 @@ func newTestWorker(t *testing.T) (*testExecutor, *httptest.Server) {
 
 var testJob = Job{Kernel: "k", Scale: "quick", Seed: 2008, BatchSeed: 1}
 
+// seq returns the index list 0..n-1.
+func seq(n int) []int {
+	indices := make([]int, n)
+	for i := range indices {
+		indices[i] = i
+	}
+	return indices
+}
+
 // checkBlobs asserts the reduction invariant: blob i is the kernel
 // result for index i, whatever worker produced it.
 func checkBlobs(t *testing.T, blobs [][]byte, n int) {
@@ -61,13 +70,31 @@ func checkBlobs(t *testing.T, blobs [][]byte, n int) {
 	}
 }
 
+// TestRunIndicesArgumentOrder shards an unordered, gapped index list:
+// blob i must be the kernel result for indices[i].
+func TestRunIndicesArgumentOrder(t *testing.T) {
+	_, w := newTestWorker(t)
+	c := NewClient([]string{w.URL}, Options{ShardSize: 2})
+	indices := []int{9, 2, 5, 40, 0}
+	blobs, err := c.RunIndices(context.Background(), testJob, indices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &ShardRequest{Kernel: testJob.Kernel, Scale: testJob.Scale, Seed: testJob.Seed, BatchSeed: testJob.BatchSeed}
+	for i, die := range indices {
+		if want := testBlob(req, die); string(blobs[i]) != string(want) {
+			t.Fatalf("blob %d = %q, want %q", i, blobs[i], want)
+		}
+	}
+}
+
 func TestRunShardsAcrossWorkers(t *testing.T) {
 	ex1, w1 := newTestWorker(t)
 	ex2, w2 := newTestWorker(t)
 	c := NewClient([]string{w1.URL, w2.URL}, Options{ShardSize: 3})
 
 	const n = 20
-	blobs, err := c.Run(context.Background(), testJob, n)
+	blobs, err := c.RunIndices(context.Background(), testJob, seq(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +122,7 @@ func TestShardSizeInvariance(t *testing.T) {
 	var ref [][]byte
 	for _, size := range []int{1, 3, 8, 64} {
 		c := NewClient([]string{w1.URL, w2.URL}, Options{ShardSize: size})
-		blobs, err := c.Run(context.Background(), testJob, 17)
+		blobs, err := c.RunIndices(context.Background(), testJob, seq(17))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +150,7 @@ func TestFaultRetryOnAnotherWorker(t *testing.T) {
 			c := NewClient([]string{w1.URL, w2.URL}, Options{
 				ShardSize: 4, Concurrency: 1, Fault: plan,
 			})
-			blobs, err := c.Run(context.Background(), testJob, 10)
+			blobs, err := c.RunIndices(context.Background(), testJob, seq(10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +185,7 @@ func TestDropIsSyntheticTimeout(t *testing.T) {
 		ShardSize: 8, Concurrency: 1, Timeout: time.Hour, Fault: plan,
 	})
 	start := time.Now()
-	_, err := c.Run(context.Background(), testJob, 4)
+	_, err := c.RunIndices(context.Background(), testJob, seq(4))
 	if err == nil {
 		t.Fatal("run succeeded with every dispatch dropped")
 	}
@@ -172,7 +199,7 @@ func TestDropIsSyntheticTimeout(t *testing.T) {
 
 func TestNoWorkersDegrades(t *testing.T) {
 	c := NewClient(nil, Options{})
-	_, err := c.Run(context.Background(), testJob, 5)
+	_, err := c.RunIndices(context.Background(), testJob, seq(5))
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
@@ -190,7 +217,7 @@ func TestAllWorkersFailing(t *testing.T) {
 	}))
 	t.Cleanup(bad.Close)
 	c := NewClient([]string{bad.URL}, Options{ShardSize: 4, Concurrency: 1, Retries: 2})
-	_, err := c.Run(context.Background(), testJob, 4)
+	_, err := c.RunIndices(context.Background(), testJob, seq(4))
 	if err == nil {
 		t.Fatal("run succeeded against a 500ing worker")
 	}
@@ -220,7 +247,7 @@ func TestHedgedStraggler(t *testing.T) {
 		ShardSize: 8, Concurrency: 1, HedgeAfter: 30 * time.Millisecond, Fault: plan,
 	})
 	start := time.Now()
-	blobs, err := c.Run(context.Background(), testJob, 8)
+	blobs, err := c.RunIndices(context.Background(), testJob, seq(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +303,7 @@ func TestProbeAll(t *testing.T) {
 	}
 	// The dead worker is skipped entirely: the run succeeds without
 	// dispatch errors.
-	blobs, err := c.Run(context.Background(), testJob, 6)
+	blobs, err := c.RunIndices(context.Background(), testJob, seq(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +345,7 @@ func TestRunCancellation(t *testing.T) {
 	c := NewClient([]string{slow.URL}, Options{ShardSize: 2, Concurrency: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(50 * time.Millisecond); cancel() }()
-	_, err := c.Run(ctx, testJob, 4)
+	_, err := c.RunIndices(ctx, testJob, seq(4))
 	if err == nil {
 		t.Fatal("cancelled run succeeded")
 	}

@@ -140,6 +140,44 @@ func TestClusterFig4Identical(t *testing.T) {
 	}
 }
 
+// TestClusterRoutesDieLoops proves the die-batch and timeline-sweep
+// experiments dispatch their grids through an attached cluster and still
+// render byte-identically to a local run. The ok-run counter guards
+// against a vacuous pass by an experiment that ignores Env.Cluster.
+func TestClusterRoutesDieLoops(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster determinism proof runs full kernels")
+	}
+	c := startCluster(t, 2, cluster.Options{ShardSize: 4})
+	runs := c.Metrics().Counter(`cluster_runs_total{status="ok"}`)
+	for _, id := range []string{"fig5", "fig7", "fig12", "sec74", "ext-sched"} {
+		local, err := QuickEnv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(id, local)
+		if err != nil {
+			t.Fatalf("%s local: %v", id, err)
+		}
+		clustered, err := QuickEnv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clustered.Cluster = c
+		before := runs.Value()
+		got, err := Run(id, clustered)
+		if err != nil {
+			t.Fatalf("%s clustered: %v", id, err)
+		}
+		if runs.Value() == before {
+			t.Errorf("%s: no clustered run counted", id)
+		}
+		if got.Render() != want.Render() {
+			t.Errorf("%s: clustered render diverges from local:\n%s\nvs\n%s", id, got.Render(), want.Render())
+		}
+	}
+}
+
 // TestExecutorRejectsUnknown pins the worker-side error paths: unknown
 // scales and kernels must fail loudly, not fall back to a default Env.
 func TestExecutorRejectsUnknown(t *testing.T) {
@@ -151,5 +189,15 @@ func TestExecutorRejectsUnknown(t *testing.T) {
 	_, err = x.ExecuteShard(t.Context(), &cluster.ShardRequest{Kernel: "nope", Scale: "quick", Seed: 1, BatchSeed: 1})
 	if err == nil || !strings.Contains(err.Error(), "unknown kernel") {
 		t.Fatalf("unknown kernel error = %v", err)
+	}
+	// Grid kernels index a static grid: an index past it is an error on
+	// the worker, not a panic.
+	for _, k := range []string{kernelFig5Ratios, sec74Grid.kernel} {
+		for _, index := range []int{-1, 1 << 20} {
+			_, err = x.ExecuteShard(t.Context(), &cluster.ShardRequest{Kernel: k, Scale: "quick", Seed: 1, BatchSeed: 1, Dies: []int{index}})
+			if err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("%s index %d error = %v", k, index, err)
+			}
+		}
 	}
 }

@@ -183,3 +183,27 @@ func TestShardConfigHashMismatch(t *testing.T) {
 		t.Fatalf("matching hash rejected: %v", err)
 	}
 }
+
+// TestFig5SamplesEachPairOnce pins fig5's sampling cost. At Workers=1 on
+// a private cache, each sigma/mu variant draws every die pair's transform
+// once: 2 sampler calls per pair, NumDies per variant in all. A variant
+// rebuilt per kernel index would lose the generator's pair cache and
+// sample every pair twice.
+func TestFig5SamplesEachPairOnce(t *testing.T) {
+	e := quickEnvWithCache(t, diecache.New(1024, ""))
+	e.Workers = 1
+	if _, err := Fig5(e); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, sm := range fig5Sigmas {
+		v, ok := e.variants.envs[sm]
+		if !ok {
+			t.Fatalf("no variant cached for sigma/mu %.2f", sm)
+		}
+		total += v.gen.SampleCount()
+	}
+	if want := int64(len(fig5Sigmas) * e.NumDies); total != want {
+		t.Fatalf("fig5 sampler invocations = %d, want %d (one transform per die pair)", total, want)
+	}
+}

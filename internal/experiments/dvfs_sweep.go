@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"vasched/internal/core"
 	"vasched/internal/pm"
 	"vasched/internal/sched"
-	"vasched/internal/stats"
-	"vasched/internal/workload"
 )
 
 // Combo is one (scheduler, power manager) pairing of the paper's Table 1
@@ -41,80 +37,55 @@ type DVFSCell struct {
 	EDSquared    float64
 	WeightedED2  float64
 	DeviationPct float64
-	DecideMean   time.Duration
 }
 
-// dvfsSweep runs the NUniFreq+DVFS sweep for one power environment.
-func dvfsSweep(e *Env, env PowerEnv, combos []Combo, threads []int, obj pm.Objective) (map[string][]DVFSCell, error) {
-	out := make(map[string][]DVFSCell, len(combos))
-	for _, combo := range combos {
-		policy, err := sched.New(combo.Sched)
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := e.Manager(combo.Manager, obj)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range threads {
-			budget := env.Budget(n, e.Floorplan().NumCores)
-			// Die×trial fan-out through the farm; slots reduce in the
-			// serial loop's order (managers and policies are stateless
-			// values, so sharing them across workers is safe).
-			tasks := e.RunDies * e.Trials
-			slots := make([]*core.RunStats, tasks)
-			err := e.ForTasks(tasks, func(ctx context.Context, i int) error {
-				die, trial := i/e.Trials, i%e.Trials
-				c, err := e.Chip(die)
-				if err != nil {
-					return err
-				}
-				seed := e.Seed + int64(trial)*97 + int64(die)*13
-				apps := workload.Mix(stats.NewRNG(seed), n)
-				sys, err := core.New(core.Config{
-					Chip: c, CPU: e.CPU(), Scheduler: policy,
-					Mode: core.ModeDVFS, Manager: mgr, Budget: budget,
-					SampleIntervalMS: e.SampleMS, Seed: seed,
-					DecideHist: e.DecideHist, Ctx: ctx,
+// The DVFS sweep axes: Figures 11 and 13 sweep thread counts in the
+// Cost-Performance environment, Figure 12 the three environments at 20
+// threads.
+var (
+	dvfsThreads = []int{4, 8, 16, 20}
+	fig12Envs   = []PowerEnv{LowPower, CostPerformance, HighPerformance}
+)
+
+// comboCells crosses power environments (major), the paper's combos, and
+// thread counts (minor) into NUniFreq+DVFS cells.
+func comboCells(envs []PowerEnv, threads []int, obj pm.Objective) []sweepCell {
+	var cells []sweepCell
+	for _, env := range envs {
+		for _, c := range paperCombos {
+			for _, n := range threads {
+				cells = append(cells, sweepCell{
+					policy: c.Sched, threads: n, mode: core.ModeDVFS,
+					manager: c.Manager, obj: obj, env: env,
 				})
-				if err != nil {
-					return err
-				}
-				st, err := sys.Run(apps, e.SimMS)
-				if err != nil {
-					return err
-				}
-				slots[i] = st
-				return nil
-			})
-			if err != nil {
-				return nil, err
 			}
-			var pw, mips, wtp, ed2, wed2, dev []float64
-			var decide time.Duration
-			var decideN int
-			for _, st := range slots {
-				pw = append(pw, st.AvgPowerW)
-				mips = append(mips, st.MIPS)
-				wtp = append(wtp, st.WeightedTP)
-				ed2 = append(ed2, st.EDSquared)
-				wed2 = append(wed2, st.AvgPowerW/(st.WeightedTP*st.WeightedTP*st.WeightedTP))
-				dev = append(dev, st.PowerDeviationPct)
-				decide += st.DecideTime
-				decideN += st.DecideCount
-			}
-			cell := DVFSCell{
-				Threads: n, Combo: combo,
-				PowerW: stats.Mean(pw), MIPS: stats.Mean(mips),
-				WeightedTP: stats.Mean(wtp), EDSquared: stats.Mean(ed2),
-				WeightedED2:  stats.Mean(wed2),
-				DeviationPct: stats.Mean(dev),
-			}
-			if decideN > 0 {
-				cell.DecideMean = decide / time.Duration(decideN)
-			}
-			out[combo.Label()] = append(out[combo.Label()], cell)
 		}
+	}
+	return cells
+}
+
+// dvfsSweep runs a NUniFreq+DVFS grid and averages each cell over its
+// dies and trials, grouping cells by combo label in grid order.
+func dvfsSweep(e *Env, g *timelineGrid) (map[string][]DVFSCell, error) {
+	trials, err := g.run(e)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]DVFSCell, len(paperCombos))
+	for i, cell := range g.cells {
+		ts := trials[i]
+		combo := Combo{Sched: cell.policy, Manager: cell.manager}
+		out[combo.Label()] = append(out[combo.Label()], DVFSCell{
+			Threads: cell.threads, Combo: combo,
+			PowerW:     mean(ts, func(t trialBlob) float64 { return t.PowerW }),
+			MIPS:       mean(ts, func(t trialBlob) float64 { return t.MIPS }),
+			WeightedTP: mean(ts, func(t trialBlob) float64 { return t.WeightedTP }),
+			EDSquared:  mean(ts, func(t trialBlob) float64 { return t.EDSquared }),
+			WeightedED2: mean(ts, func(t trialBlob) float64 {
+				return t.PowerW / (t.WeightedTP * t.WeightedTP * t.WeightedTP)
+			}),
+			DeviationPct: mean(ts, func(t trialBlob) float64 { return t.DevPct }),
+		})
 	}
 	return out, nil
 }
@@ -143,38 +114,31 @@ func (r *DVFSSweepResult) Rel(combo string, ti int, metric func(DVFSCell) float6
 // combinations in the Cost-Performance environment, for 4-20 threads,
 // relative to Random+Foxton*.
 func Fig11(e *Env) (*DVFSSweepResult, error) {
-	threads := []int{4, 8, 16, 20}
-	cells, err := dvfsSweep(e, CostPerformance, paperCombos, threads, pm.ObjMIPS)
-	if err != nil {
-		return nil, err
-	}
-	return &DVFSSweepResult{
-		Title:    "Figure 11: NUniFreq+DVFS throughput & ED^2 (Cost-Performance, 75 W)",
-		Env:      CostPerformance,
-		Baseline: paperCombos[0].Label(),
-		Combos:   paperCombos,
-		Threads:  threads,
-		Cells:    cells,
-	}, nil
+	return costPerfFigure(e, &fig11Grid, "Figure 11: NUniFreq+DVFS throughput & ED^2 (Cost-Performance, 75 W)", false)
 }
 
 // Fig13 reproduces Figure 13: the Figure 11 experiment re-run with
 // weighted throughput as the optimisation goal, reporting weighted
 // throughput and weighted ED^2.
 func Fig13(e *Env) (*DVFSSweepResult, error) {
-	threads := []int{4, 8, 16, 20}
-	cells, err := dvfsSweep(e, CostPerformance, paperCombos, threads, pm.ObjWeighted)
+	return costPerfFigure(e, &fig13Grid, "Figure 13: weighted throughput & weighted ED^2 (Cost-Performance, 75 W)", true)
+}
+
+// costPerfFigure runs a Cost-Performance thread-count sweep (Figures 11
+// and 13).
+func costPerfFigure(e *Env, g *timelineGrid, title string, weighted bool) (*DVFSSweepResult, error) {
+	cells, err := dvfsSweep(e, g)
 	if err != nil {
 		return nil, err
 	}
 	return &DVFSSweepResult{
-		Title:    "Figure 13: weighted throughput & weighted ED^2 (Cost-Performance, 75 W)",
+		Title:    title,
 		Env:      CostPerformance,
 		Baseline: paperCombos[0].Label(),
 		Combos:   paperCombos,
-		Threads:  threads,
+		Threads:  dvfsThreads,
 		Cells:    cells,
-		Weighted: true,
+		Weighted: weighted,
 	}, nil
 }
 
@@ -223,22 +187,16 @@ type Fig12Result struct {
 
 // Fig12 runs the environment sweep.
 func Fig12(e *Env) (*Fig12Result, error) {
-	res := &Fig12Result{
+	cells, err := dvfsSweep(e, &fig12Grid)
+	if err != nil {
+		return nil, err
+	}
+	return &Fig12Result{
 		Baseline: paperCombos[0].Label(),
 		Combos:   paperCombos,
-		Envs:     []PowerEnv{LowPower, CostPerformance, HighPerformance},
-		Cells:    make(map[string][]DVFSCell),
-	}
-	for _, env := range res.Envs {
-		cells, err := dvfsSweep(e, env, paperCombos, []int{20}, pm.ObjMIPS)
-		if err != nil {
-			return nil, err
-		}
-		for label, cs := range cells {
-			res.Cells[label] = append(res.Cells[label], cs[0])
-		}
-	}
-	return res, nil
+		Envs:     fig12Envs,
+		Cells:    cells,
+	}, nil
 }
 
 // Rel returns MIPS(combo)/MIPS(baseline) for environment index ei.

@@ -86,9 +86,11 @@ type Env struct {
 	// disables remote routing, so a custom configuration can never be
 	// silently computed against a stock one on a worker.
 	Scale string
-	// Cluster, when non-nil, routes kernel-based die loops
-	// (ForDiesKernel) to remote workers, degrading to local execution if
-	// the whole cluster is unavailable. Nil runs everything locally.
+	// Cluster, when non-nil, routes every die loop (all run through
+	// ForDiesKernelIndices: the die-batch figures, the timeline sweeps of
+	// Figures 7-13, sec74, and the extension grids) to remote workers,
+	// degrading to local execution if the whole cluster is unavailable.
+	// Nil runs everything locally.
 	Cluster ShardRunner
 	// Workers bounds the die-level parallelism of the farm engine: the
 	// experiments fan independent dies (and independent timeline trials)
@@ -101,6 +103,10 @@ type Env struct {
 	// core.Config.DecideHist). LatencyHist is mutex-guarded, so one
 	// histogram can collect across the parallel die farm. Purely
 	// observational: experiment outputs are identical with or without it.
+	// Only Decide calls made in this process are observed: local and
+	// degraded runs observe every one, but in a clustered DVFS sweep the
+	// kernels (and their Decides) run on the workers, whose stock Envs
+	// carry no histogram.
 	DecideHist *metrics.LatencyHist
 	// Adaptive, when non-nil, switches the ext-adapt experiment into
 	// adaptive stratified sampling with the given settings (nil — and
@@ -116,6 +122,9 @@ type Env struct {
 	dies    *diecache.Cache
 	cfgHash uint64
 	ctx     context.Context
+	// variants holds the σ/μ variants fig5's kernel derives from this
+	// Env; shallow copies share it (see sigmaVariant).
+	variants *variantCache
 }
 
 // sharedDies is the process-wide characterised-die cache: the ~15
@@ -205,6 +214,7 @@ func (e *Env) init() error {
 		return err
 	}
 	e.cpu = cpu
+	e.variants = &variantCache{envs: make(map[float64]*Env)}
 	if e.dies == nil {
 		e.dies = sharedDies
 	}
@@ -242,91 +252,36 @@ func (e *Env) Context() context.Context {
 // SetContext attaches a cancellation context to the Env.
 func (e *Env) SetContext(ctx context.Context) { e.ctx = ctx }
 
-// ForDies runs fn(ctx, die, chip) for every die in [0, n) through the
-// farm worker pool (Workers-wide). Characterised dies come from the
-// shared cache. fn must only write to state addressed by its die index;
-// callers reduce the slots serially afterwards, which keeps parallel
-// results bit-identical to the serial path. The callback's context
-// carries the per-task tracing span (fn must not let it affect results).
-func (e *Env) ForDies(n int, fn func(ctx context.Context, die int, c *chip.Chip) error) error {
-	return farm.Map(e.Context(), e.Workers, n, func(ctx context.Context, die int) error {
-		c, err := e.Chip(die)
-		if err != nil {
-			return err
-		}
-		return fn(ctx, die, c)
-	})
-}
-
-// ForTasks runs fn(ctx, i) for every task index in [0, n) through the
-// farm worker pool — the die×trial fan-out used by the timeline sweeps.
-// The callback's context carries the per-task tracing span.
-func (e *Env) ForTasks(n int, fn func(ctx context.Context, i int) error) error {
-	return farm.Map(e.Context(), e.Workers, n, fn)
-}
-
-// ShardRunner distributes a kernel's index space across remote workers
-// and returns one blob per index, in index order. RunIndices is the same
-// contract over an explicit index list (the adaptive driver's stratum
-// plans dispatch through it). internal/cluster's Client is the production
-// implementation.
+// ShardRunner distributes a kernel's index list across remote workers
+// and returns one blob per index, in argument order. internal/cluster's
+// Client is the production implementation.
 type ShardRunner interface {
-	Run(ctx context.Context, job cluster.Job, n int) ([][]byte, error)
 	RunIndices(ctx context.Context, job cluster.Job, indices []int) ([][]byte, error)
 }
 
 // ForDiesKernel runs the registered kernel for every index in [0, n) and
-// reduces the serialized results serially in index order. This is the
-// distributable sibling of ForDies: with a Cluster attached (and a stock
-// Scale), the index space is sharded across remote workers; otherwise —
-// or when the whole cluster is down — the kernel runs locally through
-// the farm pool. Both paths produce byte-identical blobs, so the reduce
-// step (and therefore the experiment's rendered report) cannot tell them
-// apart; clustering, shard size, retries, hedging, and degradation are
-// all invisible in the output.
+// reduces the serialized results serially in index order; it is
+// ForDiesKernelIndices over 0..n-1 under the Env's own context.
 func (e *Env) ForDiesKernel(name string, n int, reduce func(index int, blob []byte) error) error {
-	clustered := e.Cluster != nil && e.Scale != ""
-	path := "local"
-	if clustered {
-		path = "cluster"
+	indices := make([]int, n)
+	for i := range indices {
+		indices[i] = i
 	}
-	ctx, sp := trace.Start(e.Context(), "env.kernel",
-		trace.String("kernel", name), trace.Int("n", n), trace.String("path", path))
-	defer sp.End()
-	if clustered {
-		job := cluster.Job{Kernel: name, Scale: e.Scale, Seed: e.Seed, BatchSeed: e.BatchSeed, ConfigHash: e.cfgHash}
-		blobs, err := e.Cluster.Run(ctx, job, n)
-		if err == nil {
-			return reduceBlobs(blobs, reduce)
-		}
-		// Cancellation is not degradation: propagate it.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
-		}
-		// Graceful degradation: the cluster client has already counted
-		// the failed run; recompute everything locally.
-		trace.Event(ctx, "cluster.degrade")
-	}
-	k, err := kernelByName(name)
-	if err != nil {
-		return err
-	}
-	blobs, err := farm.Collect(ctx, e.Workers, n, func(ctx context.Context, i int) ([]byte, error) {
-		return k(ctx, e, i)
-	})
-	if err != nil {
-		return err
-	}
-	return reduceBlobs(blobs, reduce)
+	return e.ForDiesKernelIndices(e.Context(), name, indices, reduce)
 }
 
-// ForDiesKernelIndices is ForDiesKernel over an explicit index list: the
-// registered kernel runs for exactly the given indices (cluster-sharded
-// when attached, local farm otherwise) and reduce sees the blobs serially
-// in argument order (pos is the position within indices; the caller maps
-// pos back to indices[pos]). This is the fan-out the adaptive sampling
-// driver uses to evaluate one round's stratum plan; ctx is taken as an
-// argument so round trace spans parent the kernel spans.
+// ForDiesKernelIndices is the one die-loop path of the package: the
+// registered kernel runs for exactly the given indices and reduce sees
+// the blobs serially in argument order (pos is the position within
+// indices; the caller maps pos back to indices[pos]). With a Cluster
+// attached (and a stock Scale), the indices are sharded across remote
+// workers; otherwise — or when the whole cluster is down — the kernel
+// runs locally through the farm pool. Both paths produce byte-identical
+// blobs, so the reduce step (and therefore the experiment's rendered
+// report) cannot tell them apart; clustering, shard size, retries,
+// hedging, and degradation are all invisible in the output. ctx is an
+// argument so callers' trace spans (the adaptive sampler's rounds) parent
+// the kernel spans.
 func (e *Env) ForDiesKernelIndices(ctx context.Context, name string, indices []int, reduce func(pos int, blob []byte) error) error {
 	clustered := e.Cluster != nil && e.Scale != ""
 	path := "local"
@@ -336,34 +291,35 @@ func (e *Env) ForDiesKernelIndices(ctx context.Context, name string, indices []i
 	ctx, sp := trace.Start(ctx, "env.kernel",
 		trace.String("kernel", name), trace.Int("n", len(indices)), trace.String("path", path))
 	defer sp.End()
+	var blobs [][]byte
 	if clustered {
 		job := cluster.Job{Kernel: name, Scale: e.Scale, Seed: e.Seed, BatchSeed: e.BatchSeed, ConfigHash: e.cfgHash}
-		blobs, err := e.Cluster.RunIndices(ctx, job, indices)
-		if err == nil {
-			return reduceBlobs(blobs, reduce)
+		var err error
+		if blobs, err = e.Cluster.RunIndices(ctx, job, indices); err != nil {
+			// Cancellation is not degradation: propagate it.
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return ctxErr
+			}
+			// Graceful degradation: the cluster client has already
+			// counted the failed run; recompute everything locally.
+			trace.Event(ctx, "cluster.degrade")
+			blobs = nil
 		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
+	}
+	if blobs == nil {
+		k, err := kernelByName(name)
+		if err != nil {
+			return err
 		}
-		trace.Event(ctx, "cluster.degrade")
+		blobs, err = farm.Collect(ctx, e.Workers, len(indices), func(ctx context.Context, i int) ([]byte, error) {
+			return k(ctx, e, indices[i])
+		})
+		if err != nil {
+			return err
+		}
 	}
-	k, err := kernelByName(name)
-	if err != nil {
-		return err
-	}
-	blobs, err := farm.Collect(ctx, e.Workers, len(indices), func(ctx context.Context, i int) ([]byte, error) {
-		return k(ctx, e, indices[i])
-	})
-	if err != nil {
-		return err
-	}
-	return reduceBlobs(blobs, reduce)
-}
-
-// reduceBlobs applies reduce serially in index order.
-func reduceBlobs(blobs [][]byte, reduce func(index int, blob []byte) error) error {
-	for i, b := range blobs {
-		if err := reduce(i, b); err != nil {
+	for pos, b := range blobs {
+		if err := reduce(pos, b); err != nil {
 			return err
 		}
 	}

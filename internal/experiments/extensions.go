@@ -8,7 +8,6 @@ import (
 	"vasched/internal/parallel"
 	"vasched/internal/pm"
 	"vasched/internal/sched"
-	"vasched/internal/stats"
 	"vasched/internal/workload"
 )
 
@@ -29,61 +28,36 @@ type ExtSchedResult struct {
 	Rows []ExtSchedRow
 }
 
+// extSchedPolicies are the policies the ext-sched study compares.
+var extSchedPolicies = []string{sched.NameRandom, sched.NameVarPAppP, sched.NameTempAware}
+
+// extSchedTune configures an ext-sched trial. A short OS interval makes
+// migration (the TempAware mechanism) happen within the run, and
+// transient thermal makes migrated-to cores heat up with realistic
+// inertia; that needs several thermal time constants, so trials run at
+// least 300 ms past a 100 ms cold-start excluded from the statistics.
+func extSchedTune(e *Env, cfg *core.Config) float64 {
+	cfg.OSIntervalMS, cfg.TransientThermal, cfg.WarmupMS = 20, true, 100
+	return 100 + max(e.SimMS, 300)
+}
+
 // ExtSched runs Random, VarP&AppP, and TempAware at 12 threads in
 // NUniFreq and reports thermal, wearout, and throughput outcomes.
 func ExtSched(e *Env) (*ExtSchedResult, error) {
-	res := &ExtSchedResult{}
-	// Transient thermal needs several thermal time constants of simulated
-	// time to be meaningful: run longer than the default sweeps and
-	// exclude the cold-start from the statistics.
-	dur := e.SimMS
-	if dur < 300 {
-		dur = 300
+	trials, err := extSchedGrid.run(e)
+	if err != nil {
+		return nil, err
 	}
-	const warmup = 100.0
-	for _, pname := range []string{sched.NameRandom, sched.NameVarPAppP, sched.NameTempAware} {
-		policy, err := sched.New(pname)
-		if err != nil {
-			return nil, err
-		}
-		var mips, pw, maxT, wear, ed2 []float64
-		for die := 0; die < e.RunDies; die++ {
-			c, err := e.Chip(die)
-			if err != nil {
-				return nil, err
-			}
-			for trial := 0; trial < e.Trials; trial++ {
-				seed := e.Seed + int64(trial)*97 + int64(die)*13
-				apps := workload.Mix(stats.NewRNG(seed), 12)
-				sys, err := core.New(core.Config{
-					Chip: c, CPU: e.CPU(), Scheduler: policy, Mode: core.ModeNUniFreq,
-					// Short OS interval so migration (the TempAware
-					// mechanism) actually happens within the run, and
-					// transient thermal so migrated-to cores heat up with
-					// realistic inertia instead of instantly.
-					OSIntervalMS:     20,
-					TransientThermal: true,
-					WarmupMS:         warmup,
-					SampleIntervalMS: e.SampleMS, Seed: seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				st, err := sys.Run(apps, warmup+dur)
-				if err != nil {
-					return nil, err
-				}
-				mips = append(mips, st.MIPS)
-				pw = append(pw, st.AvgPowerW)
-				maxT = append(maxT, st.MaxTempC)
-				wear = append(wear, st.WearoutMax)
-				ed2 = append(ed2, st.EDSquared)
-			}
-		}
+	res := &ExtSchedResult{}
+	for i, cell := range extSchedGrid.cells {
+		ts := trials[i]
 		res.Rows = append(res.Rows, ExtSchedRow{
-			Policy: pname, MIPS: stats.Mean(mips), AvgPowerW: stats.Mean(pw),
-			MaxTempC: stats.Mean(maxT), WearoutMax: stats.Mean(wear),
-			EDSquared: stats.Mean(ed2),
+			Policy:     cell.policy,
+			MIPS:       mean(ts, func(t trialBlob) float64 { return t.MIPS }),
+			AvgPowerW:  mean(ts, func(t trialBlob) float64 { return t.PowerW }),
+			MaxTempC:   mean(ts, func(t trialBlob) float64 { return t.MaxTempC }),
+			WearoutMax: mean(ts, func(t trialBlob) float64 { return t.WearoutMax }),
+			EDSquared:  mean(ts, func(t trialBlob) float64 { return t.EDSquared }),
 		})
 	}
 	return res, nil

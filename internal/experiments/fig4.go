@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"vasched/internal/chip"
 	"vasched/internal/stats"
@@ -25,15 +26,7 @@ type dieRatiosBlob struct {
 
 func init() {
 	RegisterKernel(kernelDieRatios, func(_ context.Context, e *Env, die int) ([]byte, error) {
-		c, err := e.Chip(die)
-		if err != nil {
-			return nil, err
-		}
-		pr, fr, err := dieRatios(e, c)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(dieRatiosBlob{PowerRatio: pr, FreqRatio: fr})
+		return dieRatios(e, die)
 	})
 }
 
@@ -79,8 +72,13 @@ func Fig4(e *Env) (*Fig4Result, error) {
 	return res, nil
 }
 
-// dieRatios computes one die's max/min core power and frequency ratios.
-func dieRatios(e *Env, c *chip.Chip) (powerRatio, freqRatio float64, err error) {
+// dieRatios computes one die's max/min core power and frequency ratios
+// as a dieRatiosBlob.
+func dieRatios(e *Env, die int) ([]byte, error) {
+	c, err := e.Chip(die)
+	if err != nil {
+		return nil, err
+	}
 	corePower := make([]float64, c.NumCores())
 	for core := 0; core < c.NumCores(); core++ {
 		var ps []float64
@@ -89,7 +87,7 @@ func dieRatios(e *Env, c *chip.Chip) (powerRatio, freqRatio float64, err error) 
 			st[core] = chip.CoreState{App: app, V: c.Tech.VddNominal, F: c.FmaxNominal(core)}
 			r, err := c.Evaluate(st, e.CPU())
 			if err != nil {
-				return 0, 0, err
+				return nil, err
 			}
 			ps = append(ps, r.CorePowerW[core])
 		}
@@ -99,8 +97,10 @@ func dieRatios(e *Env, c *chip.Chip) (powerRatio, freqRatio float64, err error) 
 	for core := range freqs {
 		freqs[core] = c.FmaxNominal(core)
 	}
-	return stats.Max(corePower) / stats.Min(corePower),
-		stats.Max(freqs) / stats.Min(freqs), nil
+	return json.Marshal(dieRatiosBlob{
+		PowerRatio: stats.Max(corePower) / stats.Min(corePower),
+		FreqRatio:  stats.Max(freqs) / stats.Min(freqs),
+	})
 }
 
 // MeanPowerRatio returns the batch-average power ratio.
@@ -135,42 +135,87 @@ type Fig5Result struct {
 	Points []Fig5Point
 }
 
-// Fig5 sweeps the variation intensity. Each point re-generates the die
-// batch with the new sigma/mu (dies per point are capped at NumDies).
-func Fig5(e *Env) (*Fig5Result, error) {
-	res := &Fig5Result{}
-	for _, sm := range []float64{0.03, 0.06, 0.09, 0.12} {
+// fig5Sigmas are the Figure 5 sweep's Vth sigma/mu settings.
+var fig5Sigmas = []float64{0.03, 0.06, 0.09, 0.12}
+
+// kernelFig5Ratios is dieRatios over the Figure 5 grid: index =
+// point*NumDies + die, evaluated on the point's sigma/mu variant of the
+// Env's die batch.
+const kernelFig5Ratios = "fig5-ratios"
+
+func init() {
+	RegisterKernel(kernelFig5Ratios, func(_ context.Context, e *Env, index int) ([]byte, error) {
+		point := index / e.NumDies
+		if index < 0 || point >= len(fig5Sigmas) {
+			return nil, fmt.Errorf("experiments: fig5 index %d out of range", index)
+		}
+		v, err := e.sigmaVariant(fig5Sigmas[point])
+		if err != nil {
+			return nil, err
+		}
+		return dieRatios(v, index%e.NumDies)
+	})
+}
+
+// variantCache holds the sigma/mu variants of one stock Env. Every index
+// of a sigma/mu point reuses one variant — and so one varmodel.Generator,
+// whose pair cache lets dies 2k and 2k+1 share a transform; a generator
+// per index would sample every pair twice.
+type variantCache struct {
+	sync.Mutex
+	envs map[float64]*Env
+}
+
+// sigmaVariant returns the Env with Vth sigma/mu set to sm, built once
+// per Env (and shared by its shallow copies) and run under e's context.
+// The variant is a pure function of e's configuration, so a worker that
+// rebuilds the stock Env derives the same dies the coordinator would.
+func (e *Env) sigmaVariant(sm float64) (*Env, error) {
+	vc := e.variants
+	vc.Lock()
+	defer vc.Unlock()
+	v, ok := vc.envs[sm]
+	if !ok {
 		sub := *e
 		sub.VarCfg.VthSigmaOverMu = sm
-		// The sub-Env is no longer a stock configuration: clear the
-		// cluster routing key so its dies can never be computed remotely
-		// against an unmodified Env.
+		// The variant is no longer a stock configuration: clear the
+		// cluster routing key so it can never route on its own.
 		sub.Scale, sub.Cluster = "", nil
 		if err := sub.init(); err != nil {
 			return nil, err
 		}
-		type ratios struct{ pr, fr float64 }
-		slots := make([]ratios, e.NumDies)
-		err := sub.ForDies(e.NumDies, func(_ context.Context, die int, c *chip.Chip) error {
-			pr, fr, err := dieRatios(&sub, c)
-			if err != nil {
-				return err
-			}
-			slots[die] = ratios{pr: pr, fr: fr}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		v = &sub
+		vc.envs[sm] = v
+	}
+	run := *v
+	run.ctx = e.ctx
+	return &run, nil
+}
+
+// Fig5 sweeps the variation intensity. Each point re-generates the die
+// batch with the new sigma/mu (dies per point are capped at NumDies).
+func Fig5(e *Env) (*Fig5Result, error) {
+	prs := make([][]float64, len(fig5Sigmas))
+	frs := make([][]float64, len(fig5Sigmas))
+	err := e.ForDiesKernel(kernelFig5Ratios, len(fig5Sigmas)*e.NumDies, func(index int, blob []byte) error {
+		var s dieRatiosBlob
+		if err := json.Unmarshal(blob, &s); err != nil {
+			return fmt.Errorf("experiments: fig5 index %d ratios blob: %w", index, err)
 		}
-		prs := make([]float64, e.NumDies)
-		frs := make([]float64, e.NumDies)
-		for die, s := range slots {
-			prs[die], frs[die] = s.pr, s.fr
-		}
+		point := index / e.NumDies
+		prs[point] = append(prs[point], s.PowerRatio)
+		frs[point] = append(frs[point], s.FreqRatio)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig5Result{}
+	for point, sm := range fig5Sigmas {
 		res.Points = append(res.Points, Fig5Point{
 			SigmaOverMu: sm,
-			PowerRatio:  stats.Mean(prs),
-			FreqRatio:   stats.Mean(frs),
+			PowerRatio:  stats.Mean(prs[point]),
+			FreqRatio:   stats.Mean(frs[point]),
 		})
 	}
 	return res, nil

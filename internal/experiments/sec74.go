@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"vasched/internal/core"
 	"vasched/internal/pm"
-	"vasched/internal/sched"
 	"vasched/internal/stats"
 	"vasched/internal/workload"
 )
@@ -21,58 +19,22 @@ type Sec74Result struct {
 	ED2Ratio   float64
 }
 
-// Sec74 runs both configurations with Random scheduling on the Env's dies.
+// Sec74 runs both configurations with Random scheduling on the Env's
+// dies (sec74Grid: UniFreq, then NUniFreq).
 func Sec74(e *Env) (*Sec74Result, error) {
-	policy, err := sched.New(sched.NameRandom)
+	trials, err := sec74Grid.run(e)
 	if err != nil {
 		return nil, err
 	}
-	run := func(mode core.Mode) (freq, power, ed2 float64, err error) {
-		// Die×trial fan-out through the farm; reduce in serial order.
-		tasks := e.RunDies * e.Trials
-		slots := make([]*core.RunStats, tasks)
-		err = e.ForTasks(tasks, func(ctx context.Context, i int) error {
-			die, trial := i/e.Trials, i%e.Trials
-			c, err := e.Chip(die)
-			if err != nil {
-				return err
-			}
-			seed := e.Seed + int64(trial)*97 + int64(die)*13
-			apps := workload.Mix(stats.NewRNG(seed), 20)
-			sys, err := core.New(core.Config{
-				Chip: c, CPU: e.CPU(), Scheduler: policy, Mode: mode,
-				SampleIntervalMS: e.SampleMS, Seed: seed, Ctx: ctx,
-			})
-			if err != nil {
-				return err
-			}
-			st, err := sys.Run(apps, e.SimMS)
-			if err != nil {
-				return err
-			}
-			slots[i] = st
-			return nil
-		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		var fs, ps, es []float64
-		for _, st := range slots {
-			fs = append(fs, st.AvgActiveFreqHz)
-			ps = append(ps, st.AvgPowerW)
-			es = append(es, st.EDSquared)
-		}
-		return stats.Mean(fs), stats.Mean(ps), stats.Mean(es), nil
+	uni, non := trials[0], trials[1]
+	ratio := func(field func(trialBlob) float64) float64 {
+		return mean(non, field) / mean(uni, field)
 	}
-	uf, up, ue, err := run(core.ModeUniFreq)
-	if err != nil {
-		return nil, err
-	}
-	nf, np, ne, err := run(core.ModeNUniFreq)
-	if err != nil {
-		return nil, err
-	}
-	return &Sec74Result{FreqRatio: nf / uf, PowerRatio: np / up, ED2Ratio: ne / ue}, nil
+	return &Sec74Result{
+		FreqRatio:  ratio(func(t trialBlob) float64 { return t.FreqHz }),
+		PowerRatio: ratio(func(t trialBlob) float64 { return t.PowerW }),
+		ED2Ratio:   ratio(func(t trialBlob) float64 { return t.EDSquared }),
+	}, nil
 }
 
 // Render formats the comparison.

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"vasched/internal/cluster"
-	"vasched/internal/farm"
 )
 
 // Executor is the worker-side bridge between the cluster protocol and
@@ -49,17 +48,16 @@ func (x *Executor) ExecuteShard(ctx context.Context, req *cluster.ShardRequest) 
 		return nil, fmt.Errorf("experiments: shard config hash %016x does not match worker's %q env %016x (version skew?)",
 			req.ConfigHash, req.Scale, base.ConfigHash())
 	}
-	k, err := kernelByName(req.Kernel)
-	if err != nil {
-		return nil, err
-	}
 	// Shallow copy so the request's context doesn't race with concurrent
-	// shards sharing the cached Env (the copy shares the generator mutex
-	// and die cache through pointers, like the fig5 sub-Envs do).
+	// shards sharing the cached Env (the copy shares the generator, die
+	// cache and fig5 variants through pointers). The stock Env has no
+	// Cluster, so the kernel runs on the local farm.
 	env := *base
 	env.SetContext(ctx)
-	blobs, err := farm.Collect(ctx, x.workers, len(req.Dies), func(ctx context.Context, i int) ([]byte, error) {
-		return k(ctx, &env, req.Dies[i])
+	blobs := make([][]byte, 0, len(req.Dies))
+	err = env.ForDiesKernelIndices(ctx, req.Kernel, req.Dies, func(_ int, blob []byte) error {
+		blobs = append(blobs, blob)
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,14 +1,16 @@
-// Benchmarks: one per paper table/figure (regenerating the artefact at the
-// quick scale each iteration; see cmd/vasched -scale default for the
-// paper-scale runs) plus the ablation benches DESIGN.md section 4 calls
-// out. Custom metrics attached via ReportMetric surface the reproduced
-// numbers — e.g. linopt_vs_foxton_pct on BenchmarkFig11 — next to the
+// Benchmarks: BenchmarkExperiment/<id> for every registered experiment
+// (regenerating the artefact at the quick scale each iteration; see
+// cmd/vasched -scale default for the paper-scale runs) plus the ablation
+// benches DESIGN.md section 4 calls out. Custom metrics attached via
+// ReportMetric surface the reproduced numbers — e.g.
+// linopt_mips_gain_pct on BenchmarkExperiment/fig11 — next to the
 // timing.
 package vasched_test
 
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -62,52 +64,65 @@ func benchExperiment(b *testing.B, id string) experiments.Renderer {
 	return last
 }
 
-func BenchmarkTable5(b *testing.B) { benchExperiment(b, "table5") }
-
-func BenchmarkFig4(b *testing.B) {
-	r := benchExperiment(b, "fig4").(*experiments.Fig4Result)
-	b.ReportMetric(r.MeanPowerRatio(), "power_ratio")
-	b.ReportMetric(r.MeanFreqRatio(), "freq_ratio")
+// benchMetrics reports the reproduced numbers of selected experiments
+// next to their timing, keyed by registered experiment id
+// (TestBenchMetricsRegistered pins the keys to the registry).
+var benchMetrics = map[string]func(b *testing.B, r experiments.Renderer){
+	"fig4": func(b *testing.B, r experiments.Renderer) {
+		f := r.(*experiments.Fig4Result)
+		b.ReportMetric(f.MeanPowerRatio(), "power_ratio")
+		b.ReportMetric(f.MeanFreqRatio(), "freq_ratio")
+	},
+	"fig9": func(b *testing.B, r experiments.Renderer) {
+		// VarF&AppIPC throughput gain over Random at 8 threads (paper: 5-10%).
+		gain := r.(*experiments.SchedSweepResult).Rel("VarF&AppIPC", 2, func(c experiments.SchedCell) float64 { return c.MIPS })
+		b.ReportMetric((gain-1)*100, "varfappipc_mips_gain_pct")
+	},
+	"fig11": func(b *testing.B, r experiments.Renderer) {
+		// Headline: VarF&AppIPC+LinOpt vs Random+Foxton* at 20 threads.
+		f := r.(*experiments.DVFSSweepResult)
+		mips := f.Rel("VarF&AppIPC+LinOpt", 3, func(c experiments.DVFSCell) float64 { return c.MIPS })
+		ed2 := f.Rel("VarF&AppIPC+LinOpt", 3, func(c experiments.DVFSCell) float64 { return c.EDSquared })
+		b.ReportMetric((mips-1)*100, "linopt_mips_gain_pct")
+		b.ReportMetric((1-ed2)*100, "linopt_ed2_reduction_pct")
+	},
+	"fig14": func(b *testing.B, r experiments.Renderer) {
+		f := r.(*experiments.Fig14Result)
+		b.ReportMetric(f.Deviation(10, 20), "dev_at_10ms_pct")
+		b.ReportMetric(f.Deviation(2000, 20), "dev_at_2s_pct")
+	},
+	"fig15": func(b *testing.B, r experiments.Renderer) {
+		b.ReportMetric(float64(r.(*experiments.Fig15Result).Solve("Cost-Performance", 20).Microseconds()), "linopt_solve_20t_us")
+	},
+	"sann": func(b *testing.B, r experiments.Renderer) {
+		rows := r.(*experiments.SAnnValidationResult).Rows
+		b.ReportMetric(rows[len(rows)-1].GapPct, "sann_gap_pct")
+	},
 }
 
-func BenchmarkFig5(b *testing.B) { benchExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B) { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B) { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B) { benchExperiment(b, "fig8") }
-
-func BenchmarkFig9(b *testing.B) {
-	r := benchExperiment(b, "fig9").(*experiments.SchedSweepResult)
-	// VarF&AppIPC throughput gain over Random at 8 threads (paper: 5-10%).
-	gain := r.Rel("VarF&AppIPC", 2, func(c experiments.SchedCell) float64 { return c.MIPS })
-	b.ReportMetric((gain-1)*100, "varfappipc_mips_gain_pct")
+// TestBenchMetricsRegistered fails on a benchMetrics key that names no
+// registered experiment, which BenchmarkExperiment would never run.
+func TestBenchMetricsRegistered(t *testing.T) {
+	ids := experiments.IDs()
+	for id := range benchMetrics {
+		if !slices.Contains(ids, id) {
+			t.Errorf("benchMetrics key %q is not a registered experiment", id)
+		}
+	}
 }
 
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10") }
-
-func BenchmarkFig11(b *testing.B) {
-	r := benchExperiment(b, "fig11").(*experiments.DVFSSweepResult)
-	// Headline: VarF&AppIPC+LinOpt vs Random+Foxton* at 20 threads.
-	mips := r.Rel("VarF&AppIPC+LinOpt", 3, func(c experiments.DVFSCell) float64 { return c.MIPS })
-	ed2 := r.Rel("VarF&AppIPC+LinOpt", 3, func(c experiments.DVFSCell) float64 { return c.EDSquared })
-	b.ReportMetric((mips-1)*100, "linopt_mips_gain_pct")
-	b.ReportMetric((1-ed2)*100, "linopt_ed2_reduction_pct")
+// BenchmarkExperiment regenerates every registered experiment, one
+// sub-benchmark per id.
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			r := benchExperiment(b, id)
+			if report := benchMetrics[id]; report != nil {
+				report(b, r)
+			}
+		})
+	}
 }
-
-func BenchmarkFig12(b *testing.B) { benchExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B) { benchExperiment(b, "fig13") }
-
-func BenchmarkFig14(b *testing.B) {
-	r := benchExperiment(b, "fig14").(*experiments.Fig14Result)
-	b.ReportMetric(r.Deviation(10, 20), "dev_at_10ms_pct")
-	b.ReportMetric(r.Deviation(2000, 20), "dev_at_2s_pct")
-}
-
-func BenchmarkFig15(b *testing.B) {
-	r := benchExperiment(b, "fig15").(*experiments.Fig15Result)
-	b.ReportMetric(float64(r.Solve("Cost-Performance", 20).Microseconds()), "linopt_solve_20t_us")
-}
-
-func BenchmarkSec74(b *testing.B) { benchExperiment(b, "sec74") }
 
 // BenchmarkFarmFig4 compares the farm engine's serial path against the
 // parallel one on the same workload (fig4 at quick scale). Both variants
@@ -142,11 +157,6 @@ func BenchmarkFarmFig4(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkSAnnVsExhaustive(b *testing.B) {
-	r := benchExperiment(b, "sann").(*experiments.SAnnValidationResult)
-	b.ReportMetric(r.Rows[len(r.Rows)-1].GapPct, "sann_gap_pct")
 }
 
 // frozen builds a frozen 20-thread platform snapshot for the ablations.

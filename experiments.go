@@ -60,7 +60,7 @@ func WithDecideHist(h *metrics.LatencyHist) RunOption {
 }
 
 // WithCluster routes the experiment's die loops (every die × trial grid:
-// the die-batch figures, the fig7–13 and sec74 sweeps, and the extension
+// the die-batch figures, the fig7–14 and sec74 sweeps, and the extension
 // grids) through a sharded worker cluster (internal/cluster's Client is the production
 // ShardRunner; cmd/vaschedd -workers wires it up). Clustered runs are
 // byte-identical to local ones, and a run degrades back to local

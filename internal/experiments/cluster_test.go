@@ -141,16 +141,17 @@ func TestClusterFig4Identical(t *testing.T) {
 }
 
 // TestClusterRoutesDieLoops proves the die-batch and timeline-sweep
-// experiments dispatch their grids through an attached cluster and still
-// render byte-identically to a local run. The ok-run counter guards
-// against a vacuous pass by an experiment that ignores Env.Cluster.
+// experiments (fig14 and ext-abb among them) dispatch their grids
+// through an attached cluster and still render byte-identically to a
+// local run. The ok-run counter guards against a vacuous pass by an
+// experiment that ignores Env.Cluster.
 func TestClusterRoutesDieLoops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster determinism proof runs full kernels")
 	}
 	c := startCluster(t, 2, cluster.Options{ShardSize: 4})
 	runs := c.Metrics().Counter(`cluster_runs_total{status="ok"}`)
-	for _, id := range []string{"fig5", "fig7", "fig12", "sec74", "ext-sched"} {
+	for _, id := range []string{"fig5", "fig7", "fig12", "fig14", "sec74", "ext-sched", "ext-abb"} {
 		local, err := QuickEnv()
 		if err != nil {
 			t.Fatal(err)
@@ -191,13 +192,27 @@ func TestExecutorRejectsUnknown(t *testing.T) {
 		t.Fatalf("unknown kernel error = %v", err)
 	}
 	// Grid kernels index a static grid: an index past it is an error on
-	// the worker, not a panic.
-	for _, k := range []string{kernelFig5Ratios, sec74Grid.kernel} {
-		for _, index := range []int{-1, 1 << 20} {
-			_, err = x.ExecuteShard(t.Context(), &cluster.ShardRequest{Kernel: k, Scale: "quick", Seed: 1, BatchSeed: 1, Dies: []int{index}})
-			if err == nil || !strings.Contains(err.Error(), "out of range") {
-				t.Fatalf("%s index %d error = %v", k, index, err)
-			}
+	// the worker, not a panic. fig14's grid is ragged: its 10 cells run
+	// 2 or 3 quick trials, 24 slots, where cells*RunDies*Trials would
+	// wrongly admit index 24.
+	e, err := QuickEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fig14Grid.slots(e)); n != 24 {
+		t.Fatalf("fig14 quick slots = %d, want 24", n)
+	}
+	for _, tc := range []struct {
+		kernel string
+		index  int
+	}{
+		{kernelFig5Ratios, -1}, {kernelFig5Ratios, 1 << 20},
+		{sec74Grid.kernel, -1}, {sec74Grid.kernel, 1 << 20},
+		{fig14Grid.kernel, -1}, {fig14Grid.kernel, 24},
+	} {
+		_, err = x.ExecuteShard(t.Context(), &cluster.ShardRequest{Kernel: tc.kernel, Scale: "quick", Seed: 1, BatchSeed: 1, Dies: []int{tc.index}})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s index %d error = %v", tc.kernel, tc.index, err)
 		}
 	}
 }

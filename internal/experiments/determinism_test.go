@@ -12,9 +12,10 @@ import (
 // slots, and callers reduce serially in loop order, so float accumulation
 // order — and therefore every digit of output — is independent of the
 // worker count. The timeline sweeps among them (fig7, fig11, fig12,
-// sec74, ext-sched) also prove their blobs carry no wall-clock field.
+// fig14, sec74, ext-sched, ext-abb) also prove their blobs carry no
+// wall-clock field.
 func TestParallelMatchesSerial(t *testing.T) {
-	for _, id := range []string{"fig4", "fig5", "fig7", "fig11", "fig12", "sec74", "ext-sched", "ext-sann-par", "ext-adapt"} {
+	for _, id := range []string{"fig4", "fig5", "fig7", "fig11", "fig12", "fig14", "sec74", "ext-sched", "ext-abb", "ext-sann-par", "ext-adapt"} {
 		serialEnv, err := QuickEnv()
 		if err != nil {
 			t.Fatal(err)

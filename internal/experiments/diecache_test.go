@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
+	"vasched/internal/chip"
 	"vasched/internal/cluster"
 	"vasched/internal/diecache"
 )
@@ -205,5 +207,35 @@ func TestFig5SamplesEachPairOnce(t *testing.T) {
 	}
 	if want := int64(len(fig5Sigmas) * e.NumDies); total != want {
 		t.Fatalf("fig5 sampler invocations = %d, want %d (one transform per die pair)", total, want)
+	}
+}
+
+// TestABBDieBuiltOnce pins ext-abb's biased die to one build per Env:
+// shallow copies (as a worker's Executor makes per shard) asking for it
+// at once, as concurrent kernel trials do, all get the same chip.
+func TestABBDieBuiltOnce(t *testing.T) {
+	e, err := QuickEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*chip.Chip, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cp := *e
+			got[i], errs[i] = cp.abbDie()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] == nil || got[i] != got[0] {
+			t.Fatalf("copy %d got biased die %p, copy 0 got %p", i, got[i], got[0])
+		}
 	}
 }

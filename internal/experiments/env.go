@@ -88,9 +88,11 @@ type Env struct {
 	Scale string
 	// Cluster, when non-nil, routes every die loop (all run through
 	// ForDiesKernelIndices: the die-batch figures, the timeline sweeps of
-	// Figures 7-13, sec74, and the extension grids) to remote workers,
-	// degrading to local execution if the whole cluster is unavailable.
-	// Nil runs everything locally.
+	// Figures 7-14, sec74, ext-sched and ext-abb, and the other extension
+	// grids) to remote workers, degrading to local execution if the
+	// whole cluster is unavailable. Nil runs everything locally. Only
+	// table5, fig6, fig15, sann, ext-parallel and ext-sann-par always run
+	// in-process.
 	Cluster ShardRunner
 	// Workers bounds the die-level parallelism of the farm engine: the
 	// experiments fan independent dies (and independent timeline trials)
@@ -122,8 +124,9 @@ type Env struct {
 	dies    *diecache.Cache
 	cfgHash uint64
 	ctx     context.Context
-	// variants holds the σ/μ variants fig5's kernel derives from this
-	// Env; shallow copies share it (see sigmaVariant).
+	// variants holds the σ/μ variants fig5's kernel and the biased die
+	// ext-abb's kernel derive from this Env; shallow copies share it (see
+	// sigmaVariant and abbDie).
 	variants *variantCache
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -225,10 +227,7 @@ func TestFig13WeightedNotDegraded(t *testing.T) {
 }
 
 func TestFig14ShortIntervalTracksTarget(t *testing.T) {
-	r, err := Fig14(quickEnv(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "fig14").(*Fig14Result)
 	for _, n := range []int{4, 20} {
 		at10 := r.Deviation(10, n)
 		at2s := r.Deviation(2000, n)
@@ -241,6 +240,27 @@ func TestFig14ShortIntervalTracksTarget(t *testing.T) {
 		if at2s < at10 {
 			t.Errorf("%d threads: 2 s interval (%v%%) should deviate more than 10 ms (%v%%)", n, at2s, at10)
 		}
+	}
+}
+
+// TestFig14Cancels proves a cancelled fig14 stops: its trials are farm
+// tasks, and the farm checks the Env's context between tasks, so a
+// cancellation mid-run returns context.Canceled instead of finishing
+// every remaining trial.
+func TestFig14Cancels(t *testing.T) {
+	e, err := QuickEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Chip(0); err != nil { // warm die 0
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.SetContext(ctx)
+	time.AfterFunc(100*time.Millisecond, cancel)
+	if _, err := Fig14(e); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig14 cancelled mid-run: err = %v, want context.Canceled", err)
 	}
 }
 

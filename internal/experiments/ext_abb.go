@@ -8,8 +8,6 @@ import (
 	"vasched/internal/chip"
 	"vasched/internal/core"
 	"vasched/internal/sched"
-	"vasched/internal/stats"
-	"vasched/internal/workload"
 )
 
 // ExtABBResult is the Adaptive-Body-Bias interaction study. Humenay et
@@ -31,13 +29,49 @@ type ExtABBResult struct {
 	SchedGainBasePct, SchedGainABBPct float64
 }
 
+// extABBGrid runs Random and VarF&AppIPC at 8 threads in NUniFreq on
+// die 0, as is (param 0) and ABB-biased (param 1).
+var extABBGrid = timelineGrid{kernel: "timeline-ext-abb", dies: 1, stride: 41, tune: extABBTune, cells: []sweepCell{
+	{policy: sched.NameRandom, threads: 8, mode: core.ModeNUniFreq},
+	{policy: sched.NameVarFAppIPC, threads: 8, mode: core.ModeNUniFreq},
+	{policy: sched.NameRandom, threads: 8, mode: core.ModeNUniFreq, param: 1},
+	{policy: sched.NameVarFAppIPC, threads: 8, mode: core.ModeNUniFreq, param: 1},
+}}
+
+// extABBTune swaps the biased die into the param-1 cells.
+func extABBTune(e *Env, cell sweepCell, cfg *core.Config) (float64, error) {
+	var err error
+	if cell.param == 1 {
+		cfg.Chip, err = e.abbDie()
+	}
+	return e.SimMS, err
+}
+
+// abbDie returns die 0 rebuilt under the default body-bias
+// configuration, built once per Env (and shared by its shallow copies).
+func (e *Env) abbDie() (*chip.Chip, error) {
+	vc := e.variants
+	vc.Lock()
+	defer vc.Unlock()
+	if vc.abb == nil {
+		base, err := e.Chip(0)
+		if err != nil {
+			return nil, err
+		}
+		if vc.abb, _, err = abb.Rebuild(base, e.DelayCfg, e.Power, e.ThermalCfg, abb.DefaultConfig()); err != nil {
+			return nil, err
+		}
+	}
+	return vc.abb, nil
+}
+
 // ExtABB runs the study on die 0.
 func ExtABB(e *Env) (*ExtABBResult, error) {
 	baseC, err := e.Chip(0)
 	if err != nil {
 		return nil, err
 	}
-	biased, _, err := abb.Rebuild(baseC, e.DelayCfg, e.Power, e.ThermalCfg, abb.DefaultConfig())
+	biased, err := e.abbDie()
 	if err != nil {
 		return nil, err
 	}
@@ -51,42 +85,14 @@ func ExtABB(e *Env) (*ExtABBResult, error) {
 		res.TotalStaticABB += biased.StaticAtLevel[coreID][top]
 	}
 
-	gain := func(c *chip.Chip) (float64, error) {
-		var rnd, varf []float64
-		for trial := 0; trial < e.Trials; trial++ {
-			seed := e.Seed + int64(trial)*41
-			apps := workload.Mix(stats.NewRNG(seed), 8)
-			for _, pname := range []string{sched.NameRandom, sched.NameVarFAppIPC} {
-				policy, err := sched.New(pname)
-				if err != nil {
-					return 0, err
-				}
-				sys, err := core.New(core.Config{
-					Chip: c, CPU: e.CPU(), Scheduler: policy, Mode: core.ModeNUniFreq,
-					SampleIntervalMS: e.SampleMS, Seed: seed,
-				})
-				if err != nil {
-					return 0, err
-				}
-				st, err := sys.Run(apps, e.SimMS)
-				if err != nil {
-					return 0, err
-				}
-				if pname == sched.NameRandom {
-					rnd = append(rnd, st.MIPS)
-				} else {
-					varf = append(varf, st.MIPS)
-				}
-			}
-		}
-		return (stats.Mean(varf)/stats.Mean(rnd) - 1) * 100, nil
-	}
-	if res.SchedGainBasePct, err = gain(baseC); err != nil {
+	trials, err := extABBGrid.run(e)
+	if err != nil {
 		return nil, err
 	}
-	if res.SchedGainABBPct, err = gain(biased); err != nil {
-		return nil, err
-	}
+	// VarF&AppIPC's MIPS gain over Random on each die.
+	mips := func(cell int) float64 { return mean(trials[cell], func(t trialBlob) float64 { return t.MIPS }) }
+	res.SchedGainBasePct = (mips(1)/mips(0) - 1) * 100
+	res.SchedGainABBPct = (mips(3)/mips(2) - 1) * 100
 	return res, nil
 }
 

@@ -36,9 +36,9 @@ var extSchedPolicies = []string{sched.NameRandom, sched.NameVarPAppP, sched.Name
 // transient thermal makes migrated-to cores heat up with realistic
 // inertia; that needs several thermal time constants, so trials run at
 // least 300 ms past a 100 ms cold-start excluded from the statistics.
-func extSchedTune(e *Env, cfg *core.Config) float64 {
+func extSchedTune(e *Env, _ sweepCell, cfg *core.Config) (float64, error) {
 	cfg.OSIntervalMS, cfg.TransientThermal, cfg.WarmupMS = 20, true, 100
-	return 100 + max(e.SimMS, 300)
+	return 100 + max(e.SimMS, 300), nil
 }
 
 // ExtSched runs Random, VarP&AppP, and TempAware at 12 threads in

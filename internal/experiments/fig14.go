@@ -7,8 +7,6 @@ import (
 	"vasched/internal/core"
 	"vasched/internal/pm"
 	"vasched/internal/sched"
-	"vasched/internal/stats"
-	"vasched/internal/workload"
 )
 
 // Fig14Point is one (interval, thread-count) deviation measurement.
@@ -27,70 +25,55 @@ type Fig14Result struct {
 	Points []Fig14Point
 }
 
-// Fig14 sweeps the DVFS re-solve interval. The timeline is long enough to
-// cover several re-solves of the longest interval.
-func Fig14(e *Env) (*Fig14Result, error) {
-	intervals := []float64{2000, 1000, 500, 100, 10}
-	res := &Fig14Result{}
-	policy, err := sched.New(sched.NameVarFAppIPC)
-	if err != nil {
-		return nil, err
-	}
-	c, err := e.Chip(0)
-	if err != nil {
-		return nil, err
-	}
+// fig14Intervals are the swept LinOpt re-solve intervals, in ms.
+var fig14Intervals = []float64{2000, 1000, 500, 100, 10}
+
+// fig14Grid crosses 4 and 20 threads (major) with the intervals (each
+// cell's param) on die 0. Long timelines are expensive: two trials
+// suffice for a mean deviation at intervals of 500 ms and more.
+var fig14Grid = func() timelineGrid {
+	g := timelineGrid{kernel: "timeline-fig14", dies: 1, stride: 31, tune: fig14Tune}
 	for _, n := range []int{4, 20} {
-		budget := CostPerformance.Budget(n, e.Floorplan().NumCores)
-		for _, interval := range intervals {
-			// Warm up for one full interval (thermal transients and the
-			// first decision), then measure over two more; sample at
-			// 1 ms like the paper.
-			warm := interval
-			if warm < 50 {
-				warm = 50
+		for _, interval := range fig14Intervals {
+			cell := sweepCell{
+				policy: sched.NameVarFAppIPC, threads: n, mode: core.ModeDVFS,
+				manager: pm.NameLinOpt, env: CostPerformance, param: interval,
 			}
-			dur := warm + 2*interval
-			if dur < warm+e.SimMS {
-				dur = warm + e.SimMS
+			if interval >= 500 {
+				cell.maxTrials = 2
 			}
-			var devs []float64
-			trials := e.Trials
-			if interval >= 500 && trials > 2 {
-				// Long timelines are expensive; two trials suffice for a
-				// mean deviation.
-				trials = 2
-			}
-			for trial := 0; trial < trials; trial++ {
-				seed := e.Seed + int64(trial)*31
-				apps := workload.Mix(stats.NewRNG(seed), n)
-				sys, err := core.New(core.Config{
-					Chip: c, CPU: e.CPU(), Scheduler: policy,
-					Mode: core.ModeDVFS, Manager: pm.NewLinOpt(), Budget: budget,
-					DVFSIntervalMS: interval,
-					WarmupMS:       warm,
-					// The OS interval must not re-map threads more often
-					// than the DVFS interval re-solves, or the re-map
-					// (which resets levels) would mask the interval
-					// effect.
-					OSIntervalMS:     dur + 1,
-					SampleIntervalMS: 1,
-					Seed:             seed,
-					DecideHist:       e.DecideHist,
-				})
-				if err != nil {
-					return nil, err
-				}
-				st, err := sys.Run(apps, dur)
-				if err != nil {
-					return nil, err
-				}
-				devs = append(devs, st.PowerDeviationPct)
-			}
-			res.Points = append(res.Points, Fig14Point{
-				IntervalMS: interval, Threads: n, DeviationPct: stats.Mean(devs),
-			})
+			g.cells = append(g.cells, cell)
 		}
+	}
+	return g
+}()
+
+// fig14Tune warms up for one full interval (thermal transients and the
+// first decision), then measures over two more, sampling at 1 ms like
+// the paper. The timeline is long enough to cover several re-solves of
+// the longest interval. The OS interval must not re-map threads more
+// often than the DVFS interval re-solves, or the re-map (which resets
+// levels) would mask the interval effect.
+func fig14Tune(e *Env, cell sweepCell, cfg *core.Config) (float64, error) {
+	interval := cell.param
+	warm := max(interval, 50)
+	dur := max(warm+2*interval, warm+e.SimMS)
+	cfg.DVFSIntervalMS, cfg.WarmupMS, cfg.OSIntervalMS, cfg.SampleIntervalMS = interval, warm, dur+1, 1
+	return dur, nil
+}
+
+// Fig14 sweeps the DVFS re-solve interval.
+func Fig14(e *Env) (*Fig14Result, error) {
+	trials, err := fig14Grid.run(e)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig14Result{}
+	for i, cell := range fig14Grid.cells {
+		res.Points = append(res.Points, Fig14Point{
+			IntervalMS: cell.param, Threads: cell.threads,
+			DeviationPct: mean(trials[i], func(t trialBlob) float64 { return t.DevPct }),
+		})
 	}
 	return res, nil
 }
@@ -111,7 +94,7 @@ func (r *Fig14Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 14: mean |power - Ptarget| vs interval between LinOpt runs\n")
 	fmt.Fprintf(&b, "%-12s %12s %12s\n", "interval", "4 threads", "20 threads")
-	for _, interval := range []float64{2000, 1000, 500, 100, 10} {
+	for _, interval := range fig14Intervals {
 		fmt.Fprintf(&b, "%-12s %11.2f%% %11.2f%%\n",
 			fmtInterval(interval), r.Deviation(interval, 4), r.Deviation(interval, 20))
 	}

@@ -157,13 +157,15 @@ func init() {
 	})
 }
 
-// variantCache holds the sigma/mu variants of one stock Env. Every index
-// of a sigma/mu point reuses one variant — and so one varmodel.Generator,
-// whose pair cache lets dies 2k and 2k+1 share a transform; a generator
-// per index would sample every pair twice.
+// variantCache holds what kernels derive from one stock Env: fig5's
+// sigma/mu variants and ext-abb's biased die (nil until first use). Every
+// index of a sigma/mu point reuses one variant — and so one
+// varmodel.Generator, whose pair cache lets dies 2k and 2k+1 share a
+// transform; a generator per index would sample every pair twice.
 type variantCache struct {
 	sync.Mutex
 	envs map[float64]*Env
+	abb  *chip.Chip
 }
 
 // sigmaVariant returns the Env with Vth sigma/mu set to sm, built once

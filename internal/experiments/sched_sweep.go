@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,15 +15,19 @@ import (
 )
 
 // timelineGrid is a timeline sweep's static grid of cells. Every cell
-// runs Trials random workloads on each of RunDies dies, and each (cell,
-// die, trial) is one index of the grid's registered kernel: index =
-// (cell*RunDies + die)*Trials + trial.
+// runs its trials on each of the grid's dies, and each (cell, die,
+// trial) is one index of the grid's registered kernel, numbered by
+// slots.
 type timelineGrid struct {
 	kernel string
 	cells  []sweepCell
-	// tune, when non-nil, adjusts a trial's engine configuration and
+	// dies is how many dies each cell runs on (0: Env.RunDies), and
+	// stride the workload-seed step between trials (0: 97).
+	dies   int
+	stride int64
+	// tune, when non-nil, adjusts a cell's trial configuration and
 	// returns its simulated duration (default: Env.SimMS).
-	tune func(e *Env, cfg *core.Config) float64
+	tune func(e *Env, cell sweepCell, cfg *core.Config) (float64, error)
 }
 
 // sweepCell is one configuration of a timeline sweep.
@@ -35,6 +40,30 @@ type sweepCell struct {
 	manager string
 	obj     pm.Objective
 	env     PowerEnv
+	// maxTrials, when positive, caps the cell's trials below Env.Trials.
+	maxTrials int
+	// param is a grid-specific setting read by the grid's tune hook.
+	param float64
+}
+
+// slot is one (cell, die, trial) of a grid.
+type slot struct{ cell, die, trial int }
+
+// slots is the grid's index map under e: kernel index i runs slots[i].
+// Slots are cell-major, then die, then trial. Cells may run different
+// trial counts (maxTrials), so the kernel and the reduction both read
+// this one map.
+func (g *timelineGrid) slots(e *Env) []slot {
+	var out []slot
+	for c, cell := range g.cells {
+		trials := min(e.Trials, cmp.Or(cell.maxTrials, e.Trials))
+		for die := 0; die < cmp.Or(g.dies, e.RunDies); die++ {
+			for trial := 0; trial < trials; trial++ {
+				out = append(out, slot{c, die, trial})
+			}
+		}
+	}
+	return out
 }
 
 // trialBlob is a timeline kernel's wire shape: the deterministic
@@ -67,7 +96,7 @@ var (
 )
 
 func init() {
-	for _, g := range []*timelineGrid{&fig7Grid, &fig8Grid, &fig9Grid, &fig11Grid, &fig12Grid, &fig13Grid, &sec74Grid, &extSchedGrid} {
+	for _, g := range []*timelineGrid{&fig7Grid, &fig8Grid, &fig9Grid, &fig11Grid, &fig12Grid, &fig13Grid, &fig14Grid, &sec74Grid, &extSchedGrid, &extABBGrid} {
 		RegisterKernel(g.kernel, g.trial)
 	}
 }
@@ -87,12 +116,13 @@ func policyCells(mode core.Mode, policies []string, threads []int) []sweepCell {
 // only on die and trial, so every cell of a sweep sees the same
 // workloads on the same dies.
 func (g *timelineGrid) trial(ctx context.Context, e *Env, index int) ([]byte, error) {
-	per := e.RunDies * e.Trials
-	if index < 0 || index/per >= len(g.cells) {
+	slots := g.slots(e)
+	if index < 0 || index >= len(slots) {
 		return nil, fmt.Errorf("experiments: %s index %d out of range", g.kernel, index)
 	}
-	cell, die, trial := g.cells[index/per], index%per/e.Trials, index%e.Trials
-	c, err := e.Chip(die)
+	s := slots[index]
+	cell := g.cells[s.cell]
+	c, err := e.Chip(s.die)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +130,7 @@ func (g *timelineGrid) trial(ctx context.Context, e *Env, index int) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	seed := e.Seed + int64(trial)*97 + int64(die)*13
+	seed := e.Seed + int64(s.trial)*cmp.Or(g.stride, 97) + int64(s.die)*13
 	cfg := core.Config{
 		Chip: c, CPU: e.CPU(), Scheduler: policy, Mode: cell.mode,
 		SampleIntervalMS: e.SampleMS, Seed: seed, Ctx: ctx,
@@ -115,7 +145,9 @@ func (g *timelineGrid) trial(ctx context.Context, e *Env, index int) ([]byte, er
 	}
 	simMS := e.SimMS
 	if g.tune != nil {
-		simMS = g.tune(e, &cfg)
+		if simMS, err = g.tune(e, cell, &cfg); err != nil {
+			return nil, err
+		}
 	}
 	sys, err := core.New(cfg)
 	if err != nil {
@@ -135,14 +167,15 @@ func (g *timelineGrid) trial(ctx context.Context, e *Env, index int) ([]byte, er
 // run evaluates the whole grid through the kernel path and returns each
 // cell's trials in die-major, trial-minor order.
 func (g *timelineGrid) run(e *Env) ([][]trialBlob, error) {
-	per := e.RunDies * e.Trials
+	slots := g.slots(e)
 	out := make([][]trialBlob, len(g.cells))
-	err := e.ForDiesKernel(g.kernel, len(g.cells)*per, func(index int, blob []byte) error {
+	err := e.ForDiesKernel(g.kernel, len(slots), func(index int, blob []byte) error {
 		var b trialBlob
 		if err := json.Unmarshal(blob, &b); err != nil {
 			return fmt.Errorf("experiments: %s index %d blob: %w", g.kernel, index, err)
 		}
-		out[index/per] = append(out[index/per], b)
+		c := slots[index].cell
+		out[c] = append(out[c], b)
 		return nil
 	})
 	return out, err
